@@ -118,7 +118,10 @@ class Parser:
         tok = self.next()
         if tok.kind != "rat":
             raise ParseError(f"expected a rational, found {tok.text!r}", tok.line)
-        return Fraction(tok.text)
+        try:
+            return rat(tok.text)
+        except ParseError as exc:
+            raise ParseError(str(exc), tok.line) from None
 
     def name(self) -> str:
         tok = self.next()
@@ -520,6 +523,8 @@ def cmd_normal_form(env: Env, args) -> int:
 
 
 def cmd_fuzz(env: Env, args) -> int:
+    if args.iters < 1:
+        raise ParseError(f"--iters must be at least 1, got {args.iters}")
     corpus = lab.corpus_with_random(args.seed, extra=3)
     law = args.law
     if law == "commute":

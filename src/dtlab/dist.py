@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le, lt, ne
 from typing import Iterable
 
 from .errors import LevelError, SpecError
-from .pwfn import Breakpoint, PiecewiseMonotone, _slope, rat
+from .pwfn import Breakpoint, PiecewiseMonotone, _first_where, _sup_walk, rat
 
 
 @dataclass(frozen=True)
@@ -155,37 +156,22 @@ def decompose(F: Cdf) -> tuple[list[Atom], list[Uniform]]:
 
 
 def left_quantile(F: Cdf, t) -> Fraction:
-    """inf{x : F(x) >= t} for t in (0, 1]; always attained."""
+    """inf{x : F(x) >= t} for t in (0, 1]; always attained.
+
+    Computed as sup{x : F(x) < t}, the same set boundary.
+    """
     t = rat(t)
     if not 0 < t <= 1:
         raise LevelError(f"left quantile level must be in (0, 1], got {t}")
-    bps = F.fn.breakpoints
-    for i, b in enumerate(bps):
-        if b.at >= t:
-            if i > 0:
-                a = bps[i - 1]
-                lo_v, hi_v = a.right, b.left
-                if lo_v < t <= hi_v:
-                    return a.x + (t - lo_v) / _slope(a.x, lo_v, b.x, hi_v)
-            return b.x
-    raise AssertionError("unreachable: cdf tops out at 1")
+    return _sup_walk(F.fn, t, lt)
 
 
 def right_quantile(F: Cdf, t) -> Fraction:
-    """inf{x : F(x) > t} for t in [0, 1)."""
+    """inf{x : F(x) > t} for t in [0, 1), computed as sup{x : F(x) <= t}."""
     t = rat(t)
     if not 0 <= t < 1:
         raise LevelError(f"right quantile level must be in [0, 1), got {t}")
-    bps = F.fn.breakpoints
-    for i, b in enumerate(bps):
-        if b.at > t:
-            if i > 0:
-                a = bps[i - 1]
-                lo_v, hi_v = a.right, b.left
-                if lo_v <= t < hi_v:
-                    return a.x + (t - lo_v) / _slope(a.x, lo_v, b.x, hi_v)
-            return b.x
-    raise AssertionError("unreachable: cdf tops out at 1")
+    return _sup_walk(F.fn, t, le)
 
 
 # -- order, moments, equality ------------------------------------------------
@@ -201,23 +187,12 @@ def leq_st(F: Cdf, G: Cdf) -> bool:
     Decided exactly by comparing the two piecewise representations,
     including one-sided limits, on the merged breakpoint set.
     """
-    for x in merged_abscissas(F, G):
-        fl, fa, fr = F.eval3(x)
-        gl, ga, gr = G.eval3(x)
-        if fl < gl or fa < ga or fr < gr:
-            return False
-    return True
+    return _first_where(lt, F, G, merged_abscissas(F, G)) is None
 
 
 def first_dominance_failure(F: Cdf, G: Cdf):
     """Smallest merged breakpoint where F dips below G, or None."""
-    for x in merged_abscissas(F, G):
-        ft = F.eval3(x)
-        gt = G.eval3(x)
-        for i in (1, 0, 2):
-            if ft[i] < gt[i]:
-                return x, ft[i], gt[i]
-    return None
+    return _first_where(lt, F, G, merged_abscissas(F, G))
 
 
 def equals(F: Cdf, G: Cdf) -> bool:
@@ -230,14 +205,7 @@ def first_difference(F: Cdf, G: Cdf):
 
     Returns None exactly when the cdfs are equal.
     """
-    for x in merged_abscissas(F, G):
-        ft = F.eval3(x)
-        gt = G.eval3(x)
-        if ft != gt:
-            for i in (1, 0, 2):
-                if ft[i] != gt[i]:
-                    return x, ft[i], gt[i]
-    return None
+    return _first_where(ne, F, G, merged_abscissas(F, G))
 
 
 def mean(F: Cdf) -> Fraction:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
+from operator import ne
 from typing import Iterator, Sequence
 
 from . import pwfn
@@ -30,8 +31,8 @@ from .dist import (
     unif,
     uniform,
 )
-from .errors import ClassError, DomainError, ExtractionError
-from .pwfn import NEG_INF, POS_INF, PiecewiseMonotone, format_rat, rat
+from .errors import ClassError, ExtractionError
+from .pwfn import NEG_INF, POS_INF, PiecewiseMonotone, _first_where, format_rat, rat
 from .transform import (
     Distort,
     Distortion,
@@ -45,8 +46,6 @@ from .transform import (
     apply_word,
     conjugate_distortion,
     conjugate_utility,
-    inverse_distortion,
-    inverse_utility,
     normal_form,
 )
 
@@ -65,9 +64,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def cdfs(self) -> list[Cdf]:
-        return [F for _, F in self.entries]
 
 
 def canonical_corpus() -> Corpus:
@@ -162,16 +158,7 @@ def commute_check(
     The witness point is the smallest breakpoint of the merged
     representation at which the two sides differ.
     """
-    count = 0
-    for name, F in corpus:
-        lhs = t1(t2(F))
-        rhs = t2(t1(F))
-        diff = first_difference(lhs, rhs)
-        if diff is not None:
-            x, a, b = diff
-            return Witness(law, name, F, x, a, b)
-        count += 1
-    return Pass(law, count)
+    return commute_check_like_roundtrip(lambda F: t1(t2(F)), lambda F: t2(t1(F)), corpus, law)
 
 
 def _composed_equal(
@@ -183,16 +170,9 @@ def _composed_equal(
     law: str,
 ) -> CheckResult:
     """Check outer_first o outer_second = inner_first o inner_second."""
-    count = 0
-    for name, F in corpus:
-        lhs = outer_first(outer_second(F))
-        rhs = inner_first(inner_second(F))
-        diff = first_difference(lhs, rhs)
-        if diff is not None:
-            x, a, b = diff
-            return Witness(law, name, F, x, a, b)
-        count += 1
-    return Pass(law, count)
+    return commute_check_like_roundtrip(
+        lambda F: outer_first(outer_second(F)), lambda F: inner_first(inner_second(F)), corpus, law
+    )
 
 
 def set_commute_check(
@@ -211,83 +191,43 @@ def set_commute_check(
     pseudo-inverse instead of raising, so genuine failures surface as
     witnesses.
     """
-    total = 0
     if family == "utilities":
-        u1 = form.u
-        eligible = u1.cls.strictly_increasing and u1.cls.surjective
+        g = form.u
+        eligible = g.cls.strictly_increasing and g.cls.surjective
         if not eligible and not probe_anyway:
             raise ClassError("set commutation with utilities needs a strict surjection")
-        if eligible:
-            inv = inverse_utility(u1)
-        else:
-            inv = Utility(pwfn.pseudo_inverse(u1.fn))
-        for probe in probes:
-            partner = Utility(
-                pwfn.compose(u1.fn, pwfn.compose(probe.fn, inv.fn))
-            )
-            res = _composed_equal(
-                lambda F: apply_utility(partner, F),
-                form,
-                form,
-                lambda F: apply_utility(probe, F),
-                corpus,
-                "set-commute-utilities",
-            )
-            if isinstance(res, Witness):
-                return res
-            total += res.count
-            partner_r = Utility(
-                pwfn.compose(inv.fn, pwfn.compose(probe.fn, u1.fn))
-            )
-            res = _composed_equal(
-                form,
-                lambda F: apply_utility(partner_r, F),
-                lambda F: apply_utility(probe, F),
-                form,
-                corpus,
-                "set-commute-utilities",
-            )
-            if isinstance(res, Witness):
-                return res
-            total += res.count
-        return Pass("set-commute-utilities", total)
-
-    if family == "distortions":
-        d = form.d
-        if not (d.cls.strictly_increasing and d.cls.continuous):
+        inv = pwfn.strict_inverse(g.fn) if eligible else pwfn.pseudo_inverse(g.fn)
+        wrap, apply = Utility, apply_utility
+    elif family == "distortions":
+        g = form.d
+        if not (g.cls.strictly_increasing and g.cls.continuous):
             raise ClassError(
                 "set commutation with distortions needs a strictly increasing continuous one"
             )
-        for probe in probes:
-            if not probe.cls.right_continuous:
-                raise ClassError("distortion probes must be right-continuous")
-            partner = conjugate_distortion(d, probe)
-            res = _composed_equal(
-                lambda F: apply_distortion(partner, F),
-                form,
-                form,
-                lambda F: apply_distortion(probe, F),
-                corpus,
-                "set-commute-distortions",
-            )
-            if isinstance(res, Witness):
-                return res
-            total += res.count
-            partner_r = conjugate_distortion(inverse_distortion(d), probe)
-            res = _composed_equal(
-                form,
-                lambda F: apply_distortion(partner_r, F),
-                lambda F: apply_distortion(probe, F),
-                form,
-                corpus,
-                "set-commute-distortions",
-            )
-            if isinstance(res, Witness):
-                return res
-            total += res.count
-        return Pass("set-commute-distortions", total)
-
-    raise ValueError(f"unknown family {family!r}")
+        inv = pwfn.strict_inverse(g.fn)
+        wrap, apply = Distortion, apply_distortion
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    law = f"set-commute-{family}"
+    total = 0
+    for probe in probes:
+        if family == "distortions" and not probe.cls.right_continuous:
+            raise ClassError("distortion probes must be right-continuous")
+        partner = wrap(pwfn.compose(g.fn, pwfn.compose(probe.fn, inv)))
+        res = _composed_equal(
+            lambda F: apply(partner, F), form, form, lambda F: apply(probe, F), corpus, law
+        )
+        if isinstance(res, Witness):
+            return res
+        total += res.count
+        partner_r = wrap(pwfn.compose(inv, pwfn.compose(probe.fn, g.fn)))
+        res = _composed_equal(
+            form, lambda F: apply(partner_r, F), lambda F: apply(probe, F), form, corpus, law
+        )
+        if isinstance(res, Witness):
+            return res
+        total += res.count
+    return Pass(law, total)
 
 
 def monotone_check(t: Transform, corpus: Corpus, law: str = "monotone") -> CheckResult:
@@ -411,7 +351,11 @@ def extract_utility(
 def commute_check_like_roundtrip(
     t: Transform, candidate: Transform, corpus: Corpus, law: str
 ) -> CheckResult:
-    """Pointwise corpus agreement between a box and a reconstruction."""
+    """Pointwise corpus agreement between a box and a reconstruction.
+
+    The one corpus loop behind every two-sided law: t is evaluated before
+    candidate on each entry, and the first difference becomes the witness.
+    """
     count = 0
     for name, F in corpus:
         diff = first_difference(t(F), candidate(F))
@@ -482,8 +426,8 @@ def _sorted_sample(rng: random.Random, pool: Sequence[Fraction], k: int) -> list
 
 def gen_distortion(seed: int, kind: str = "df", complexity: int = 3) -> Distortion:
     rng = _rng(seed, kind, complexity)
-    k = rng.randint(0 if kind != "df-strict" else 1, max(1, complexity))
     grid16 = [Fraction(i, 16) for i in range(1, 16)]
+    k = min(rng.randint(0 if kind != "df-strict" else 1, max(1, complexity)), len(grid16))
     xs = _sorted_sample(rng, grid16, k)
     points = []
     if kind == "df-strict":
@@ -526,16 +470,17 @@ def gen_distortion(seed: int, kind: str = "df", complexity: int = 3) -> Distorti
 
 
 def _certify_distortion(d: Distortion, kind: str) -> None:
-    if kind == "df-rc":
-        assert d.cls.right_continuous
-    elif kind == "df-strict":
-        assert d.cls.strictly_increasing and d.cls.continuous
+    c = d.cls
+    if (kind == "df-rc" and not c.right_continuous) or (
+        kind == "df-strict" and not (c.strictly_increasing and c.continuous)
+    ):
+        raise ClassError(f"generated distortion is not {kind}")
 
 
 def gen_utility(seed: int, kind: str = "uf", complexity: int = 3) -> Utility:
     rng = _rng(seed, kind, complexity)
-    k = rng.randint(1, max(1, complexity))
     grid = [Fraction(i, 4) for i in range(-12, 13)]
+    k = min(rng.randint(1, max(1, complexity)), len(grid))
     xs = _sorted_sample(rng, grid, k)
     if kind == "uf-strict":
         vals = _sorted_sample(rng, [Fraction(i, 8) for i in range(-32, 33)], k)
@@ -558,12 +503,13 @@ def gen_utility(seed: int, kind: str = "uf", complexity: int = 3) -> Utility:
 
 
 def _certify_utility(u: Utility, kind: str) -> None:
-    if kind == "uf":
-        assert u.cls.continuous
-    elif kind == "uf-left":
-        assert u.cls.left_continuous
-    elif kind == "uf-strict":
-        assert u.cls.strictly_increasing and u.cls.continuous and u.cls.surjective
+    c = u.cls
+    if (
+        (kind == "uf" and not c.continuous)
+        or (kind == "uf-left" and not c.left_continuous)
+        or (kind == "uf-strict" and not (c.strictly_increasing and c.continuous and c.surjective))
+    ):
+        raise ClassError(f"generated utility is not {kind}")
 
 
 # -- function comparison --------------------------------------------------------
@@ -579,17 +525,11 @@ def first_fn_difference(f: PiecewiseMonotone, g: PiecewiseMonotone):
         return None
     xs = sorted({b.x for b in f.breakpoints} | {b.x for b in g.breakpoints})
     probes = [xs[0] - 1] + xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [xs[-1] + 1]
-    for x in sorted(set(probes)):
-        try:
-            tf = f.eval3(x)
-            tg = g.eval3(x)
-        except DomainError:
-            continue
-        if tf != tg:
-            for i in (1, 0, 2):
-                if tf[i] != tg[i]:
-                    return x, tf[i], tg[i]
-    raise AssertionError("functions differ but no probe separates them")
+    inside = [x for x in sorted(set(probes)) if f.in_domain(x) and g.in_domain(x)]
+    found = _first_where(ne, f, g, inside)
+    if found is None:
+        raise AssertionError("functions differ but no probe separates them")
+    return found
 
 
 # -- fuzz drivers -----------------------------------------------------------------
@@ -682,40 +622,26 @@ def fuzz_set_commute(
 ) -> CheckResult:
     """Seeded collapsed transforms set-commute with seeded probe families,
     and the conjugation identities hold symbolically."""
+    # Seed multipliers and generator kinds of (distortion, utility, probes),
+    # and the form's component ("u" or "d") that the probes conjugate with.
+    if family == "utilities":
+        mults, kinds, part = (433, 439, 443), ("df", "uf-strict", "uf"), "u"
+        conjugate = conjugate_utility
+    else:
+        mults, kinds, part = (449, 457, 461), ("df-strict", "uf-left", "df-rc"), "d"
+        conjugate = conjugate_distortion
     total = 0
     for i in range(iters):
-        if family == "utilities":
-            d = gen_distortion(seed * 433 + i, "df")
-            u1 = gen_utility(seed * 439 + i, "uf-strict")
-            form = RduForm(d, u1)
-            probes = [
-                gen_utility(seed * 443 + i * probes_per + j, "uf")
-                for j in range(probes_per)
-            ]
-            for probe in probes:
-                partner = conjugate_utility(u1, probe)
-                lhs_fn = pwfn.compose(partner.fn, u1.fn)
-                rhs_fn = pwfn.compose(u1.fn, probe.fn)
-                if lhs_fn != rhs_fn:
-                    x, a, b = first_fn_difference(lhs_fn, rhs_fn)
-                    return Witness("conjugate-identity-u", f"probe-{i}", dirac(0), x, a, b)
-            res = set_commute_check(form, family, probes, corpus)
-        else:
-            d = gen_distortion(seed * 449 + i, "df-strict")
-            u = gen_utility(seed * 457 + i, "uf-left")
-            form = RduForm(d, u)
-            probes = [
-                gen_distortion(seed * 461 + i * probes_per + j, "df-rc")
-                for j in range(probes_per)
-            ]
-            for probe in probes:
-                partner = conjugate_distortion(d, probe)
-                lhs_fn = pwfn.compose(partner.fn, d.fn)
-                rhs_fn = pwfn.compose(d.fn, probe.fn)
-                if lhs_fn != rhs_fn:
-                    x, a, b = first_fn_difference(lhs_fn, rhs_fn)
-                    return Witness("conjugate-identity-d", f"probe-{i}", dirac(0), x, a, b)
-            res = set_commute_check(form, family, probes, corpus)
+        form = RduForm(gen(seed * mults[0] + i, kinds[0]), gen(seed * mults[1] + i, kinds[1]))
+        probes = [gen(seed * mults[2] + i * probes_per + j, kinds[2]) for j in range(probes_per)]
+        g = getattr(form, part)
+        for probe in probes:
+            lhs_fn = pwfn.compose(conjugate(g, probe).fn, g.fn)
+            rhs_fn = pwfn.compose(g.fn, probe.fn)
+            if lhs_fn != rhs_fn:
+                x, a, b = first_fn_difference(lhs_fn, rhs_fn)
+                return Witness(f"conjugate-identity-{part}", f"probe-{i}", dirac(0), x, a, b)
+        res = set_commute_check(form, family, probes, corpus)
         if isinstance(res, Witness):
             return res
         total += res.count
@@ -746,12 +672,12 @@ def fuzz_normal_form(
     count = 0
     for i in range(iters):
         word = gen_admissible_word(seed * 1013 + i, max_len)
-        form = normal_form(word)
-        for name, F in corpus:
-            diff = first_difference(apply_word(word, F), form(F))
-            if diff is not None:
-                return Witness("word-normal-form", name, F, *diff)
-            count += 1
+        res = commute_check_like_roundtrip(
+            lambda F: apply_word(word, F), normal_form(word), corpus, "word-normal-form"
+        )
+        if isinstance(res, Witness):
+            return res
+        count += res.count
     return Pass("word-normal-form", count)
 
 

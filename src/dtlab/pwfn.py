@@ -15,19 +15,30 @@ the same function compare equal with plain ``==``.
 
 from __future__ import annotations
 
+import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .errors import DomainError, NotInvertibleError
+from .errors import DomainError, NotInvertibleError, ParseError
 
 Rat = Fraction
 
 
 def rat(value) -> Fraction:
-    """Coerce ints and strings like ``"3/4"`` to an exact rational."""
-    return Fraction(value)
+    """Coerce ints and strings like ``"3/4"`` to an exact rational.
+
+    Floats are refused, since most decimal fractions have no exact binary
+    value; malformed strings and zero denominators raise `ParseError`.
+    """
+    if isinstance(value, float):
+        raise ParseError(f"{value!r} is a float; write it as an integer or p/q")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{value!r} is not a rational") from None
 
 
 def format_rat(q: Fraction) -> str:
@@ -37,38 +48,10 @@ def format_rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-class _Infinity:
-    """Signed infinity marker returned by `right_inverse`."""
+NEG_INF = -math.inf
+POS_INF = math.inf
 
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        self.sign = sign
-
-    def __repr__(self):
-        return "+inf" if self.sign > 0 else "-inf"
-
-    def __lt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign < other.sign
-        return self.sign < 0
-
-    def __gt__(self, other):
-        if isinstance(other, _Infinity):
-            return self.sign > other.sign
-        return self.sign > 0
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __ge__(self, other):
-        return self == other or self > other
-
-
-NEG_INF = _Infinity(-1)
-POS_INF = _Infinity(1)
-
-ExtendedRat = Union[Fraction, _Infinity]
+ExtendedRat = Union[Fraction, float]
 
 
 @dataclass(frozen=True)
@@ -302,7 +285,6 @@ def step_closed(c) -> PiecewiseMonotone:
 
 @dataclass(frozen=True)
 class Classification:
-    increasing: bool
     strictly_increasing: bool
     continuous: bool
     left_continuous: bool
@@ -326,7 +308,6 @@ def classify(f: PiecewiseMonotone) -> Classification:
         strictly = strictly and f.tails[0] > 0 and f.tails[1] > 0
     surjective = continuous and (f.is_bounded or (f.tails[0] > 0 and f.tails[1] > 0))
     return Classification(
-        increasing=True,
         strictly_increasing=strictly,
         continuous=continuous,
         left_continuous=left_continuous,
@@ -342,43 +323,54 @@ def right_inverse(f: PiecewiseMonotone, x) -> ExtendedRat:
     """sup{y : f(y) <= x}, with sup of the empty set being -inf.
 
     Total on the rationals; the result is exact: a breakpoint abscissa, a
-    segment preimage, or an infinity marker.
+    segment preimage, or `POS_INF` / `NEG_INF` (``math.inf`` / ``-math.inf``).
     """
-    x = rat(x)
+    return _sup_walk(f, rat(x), operator.le)
+
+
+def _sup_walk(f: PiecewiseMonotone, x: Fraction, op) -> ExtendedRat:
+    """sup{y : op(f(y), x)} for op `operator.le` or `operator.lt`.
+
+    Walks down from the upper tail through breakpoints and the segments
+    between them; the sup of the empty set is `NEG_INF`.
+    """
     bps = f.breakpoints
-    # region above the last breakpoint
-    if f.is_bounded:
-        if bps[-1].at <= x:
-            return bps[-1].x
-    else:
+    last = bps[-1]
+    if not f.is_bounded and op(last.right, x):
         s = f.tails[1]
-        if bps[-1].right <= x:
-            if s == 0:
-                return POS_INF
-            return bps[-1].x + (x - bps[-1].right) / s
-    # walk down through breakpoints and the segments above them
+        return POS_INF if s == 0 else last.x + (x - last.right) / s
     for i in range(len(bps) - 1, -1, -1):
         b = bps[i]
-        if b.at <= x:
+        if op(b.at, x):
             return b.x
         if i > 0:
             a = bps[i - 1]
-            lo_v, hi_v = a.right, b.left
-            if lo_v <= x:
-                if hi_v <= x:
+            if op(a.right, x):
+                if op(b.left, x):
                     return b.x
-                slope = _slope(a.x, lo_v, b.x, hi_v)
-                return a.x + (x - lo_v) / slope
-    # region below the first breakpoint
-    if not f.is_bounded:
-        s = f.tails[0]
-        b0 = bps[0]
-        if s == 0:
-            return b0.x if b0.left <= x else NEG_INF
-        if b0.left <= x:
-            return b0.x
-        return b0.x - (b0.left - x) / s
-    return NEG_INF
+                return a.x + (x - a.right) / _slope(a.x, a.right, b.x, b.left)
+    if f.is_bounded:
+        return NEG_INF
+    b0 = bps[0]
+    if op(b0.left, x):
+        return b0.x
+    s = f.tails[0]
+    return NEG_INF if s == 0 else b0.x - (b0.left - x) / s
+
+
+def _first_where(op, f, g, xs):
+    """First (x, f-val, g-val) with op(f-val, g-val), or None.
+
+    Walks the abscissas in order and, at each, the value before the left
+    and right limits of the `eval3` triples.
+    """
+    for x in xs:
+        ft = f.eval3(x)
+        gt = g.eval3(x)
+        for i in (1, 0, 2):
+            if op(ft[i], gt[i]):
+                return x, ft[i], gt[i]
+    return None
 
 
 def compose(f: PiecewiseMonotone, g: PiecewiseMonotone) -> PiecewiseMonotone:
@@ -390,7 +382,7 @@ def compose(f: PiecewiseMonotone, g: PiecewiseMonotone) -> PiecewiseMonotone:
     """
     glo, ghi = g.value_bounds()
     if f.is_bounded:
-        if isinstance(glo, _Infinity) or isinstance(ghi, _Infinity) or glo < f.lo or ghi > f.hi:
+        if glo < f.lo or ghi > f.hi:
             raise DomainError("range of the inner function leaves the outer domain")
 
     xs: set[Fraction] = {b.x for b in g.breakpoints}
@@ -470,39 +462,8 @@ def pseudo_inverse(f: PiecewiseMonotone) -> PiecewiseMonotone:
     out = []
     for v in values:
         at = right_inverse(f, v)
-        left = _sup_strictly_below(f, v)
-        assert isinstance(at, Fraction) and isinstance(left, Fraction)
+        left = _sup_walk(f, v, operator.lt)
+        if not (isinstance(at, Fraction) and isinstance(left, Fraction)):
+            raise NotInvertibleError("pseudo-inverse left the rationals")
         out.append(Breakpoint(v, left, at, at))
     return PiecewiseMonotone(tuple(out), (1 / f.tails[0], 1 / f.tails[1]))
-
-
-def _sup_strictly_below(f: PiecewiseMonotone, x: Fraction) -> ExtendedRat:
-    """sup{y : f(y) < x}; helper for the left limits of `pseudo_inverse`."""
-    bps = f.breakpoints
-    if not f.is_bounded:
-        s = f.tails[1]
-        if bps[-1].right < x:
-            if s == 0:
-                return POS_INF
-            return bps[-1].x + (x - bps[-1].right) / s
-    elif bps[-1].at < x:
-        return bps[-1].x
-    for i in range(len(bps) - 1, -1, -1):
-        b = bps[i]
-        if b.at < x:
-            return b.x
-        if i > 0:
-            a = bps[i - 1]
-            lo_v, hi_v = a.right, b.left
-            if lo_v < x:
-                if hi_v < x:
-                    return b.x
-                slope = _slope(a.x, lo_v, b.x, hi_v)
-                return a.x + (x - lo_v) / slope
-    if not f.is_bounded:
-        s = f.tails[0]
-        b0 = bps[0]
-        if s == 0:
-            return b0.x if b0.left < x else NEG_INF
-        return b0.x if b0.left <= x else b0.x - (b0.left - x) / s
-    return NEG_INF

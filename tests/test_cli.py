@@ -230,6 +230,33 @@ def test_bad_spec_file_exits_2(capsys, tmp_path):
     assert code == 2 and "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["quantile", "left", "1/0", "bern_half"],
+        ["quantile", "left", "abc", "bern_half"],
+        ["extract", "utility", "push(u_lin)", "--at=x"],
+    ],
+)
+def test_malformed_rational_arguments_exit_2(capsys, spec_file, argv):
+    code, out, err = run(capsys, argv + ["--spec", spec_file])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_malformed_rational_in_spec_file_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.dtl"
+    path.write_text("dist a = mix(atom(0, 1))\ndist b = mix(atom(0, 1/0))\n", encoding="utf-8")
+    code, _, err = run(capsys, ["quantile", "left", "1/2", "a", "--spec", str(path)])
+    assert code == 2 and err.startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize("iters", ["-5", "0"])
+def test_fuzz_iters_below_one_exits_2(capsys, iters):
+    code, out, err = run(capsys, ["fuzz", "commute", "--iters", iters])
+    assert code == 2 and out == "" and "--iters" in err
+
+
 def test_corpus_from_file(capsys, tmp_path, spec_file):
     corpus_path = tmp_path / "corpus.dtl"
     corpus_path.write_text(

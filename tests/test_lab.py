@@ -1,6 +1,10 @@
 """Tests for the verification lab: checkers, extraction, generators."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -262,6 +266,45 @@ def test_gen_deterministic_and_certified(kind):
         assert all(gen(s, kind).cls.left_continuous for s in range(25))
     if kind == "uf-strict":
         assert all(gen(s, kind).cls.surjective for s in range(25))
+
+
+MEMBERSHIP = {
+    "df": lambda c: True,
+    "df-rc": lambda c: c.right_continuous,
+    "df-strict": lambda c: c.strictly_increasing and c.continuous,
+    "uf": lambda c: c.continuous,
+    "uf-left": lambda c: c.left_continuous,
+    "uf-strict": lambda c: c.strictly_increasing and c.continuous and c.surjective,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MEMBERSHIP))
+def test_gen_high_complexity_returns_certified_values(kind):
+    # More components may be drawn than the sampling grid holds; the
+    # generators clamp instead of raising.
+    for complexity in range(16, 41):
+        for seed in range(6):
+            assert MEMBERSHIP[kind](gen(seed, kind, complexity).cls)
+
+
+def test_certification_survives_optimize_flag():
+    code = (
+        "from fractions import Fraction\n"
+        "from dtlab import lab, pwfn\n"
+        "from dtlab.errors import ClassError\n"
+        "from dtlab.transform import Distortion\n"
+        "try:\n"
+        "    lab._certify_distortion(Distortion(pwfn.step_open(Fraction(1, 2))), 'df-rc')\n"
+        "except ClassError:\n"
+        "    print('ClassError')\n"
+    )
+    src = str(Path(pwfn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ClassError\n"
 
 
 def test_gen_produces_jumpy_distortions():

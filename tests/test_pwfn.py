@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtlab import pwfn
-from dtlab.errors import DomainError, NotInvertibleError
+from dtlab.errors import DomainError, NotInvertibleError, ParseError
 from dtlab.lab import gen_distortion, gen_utility
 from dtlab.pwfn import (
     NEG_INF,
@@ -104,6 +104,13 @@ def test_eval3_one_sided_consistency_across_points():
     xs = grid(-2, 2, 8)
     for a, b in zip(xs, xs[1:]):
         assert f.eval3(a)[2] <= f.eval3(b)[0]
+
+
+def test_rat_rejects_floats_and_malformed_text():
+    assert pwfn.rat("3/4") == Q(3, 4) and pwfn.rat(2) == 2
+    for bad in (0.1, 0.5, "1/0", "abc"):
+        with pytest.raises(ParseError):
+            pwfn.rat(bad)
 
 
 # -- right_inverse --------------------------------------------------------------
@@ -254,20 +261,20 @@ def test_strict_inverse_roundtrips_on_generated(seed):
 
 def test_classify_identity_all_flags():
     c = classify(pwfn.identity(0, 1))
-    assert c.increasing and c.strictly_increasing and c.continuous
+    assert c.strictly_increasing and c.continuous
     assert c.left_continuous and c.right_continuous and c.surjective
 
 
 def test_classify_step():
     c = classify(pwfn.step_open(Q(1, 2)))
-    assert c.increasing and c.left_continuous
+    assert c.left_continuous
     assert not c.continuous and not c.right_continuous and not c.strictly_increasing
     assert not c.surjective
 
 
 def test_classify_jump_utility():
     c = classify(JUMP_AT_HALF)
-    assert c.increasing and c.left_continuous
+    assert c.left_continuous
     assert not c.continuous
     assert c.strictly_increasing  # jumps do not break strictness
     assert not c.surjective
