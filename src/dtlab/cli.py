@@ -30,7 +30,7 @@ from .lab import (
     monotone_check,
     set_commute_check,
 )
-from .pwfn import PiecewiseMonotone, format_rat, rat
+from .pwfn import _RAT_TEXT, PiecewiseMonotone, format_rat, rat
 from .transform import (
     Distort,
     Distortion,
@@ -696,6 +696,15 @@ def cmd_reproduce(env: Env, args) -> int:
 # -- entry point -----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative fraction such as ``-3/4`` as a positional, like ``-3``."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("-") and _RAT_TEXT.fullmatch(arg_string):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--spec", default=None, help="declaration file path, or - for stdin")
@@ -704,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--iters", type=int, default=100)
     common.add_argument("--quiet", action="store_true")
 
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dtlab",
         description="Exact queries and law checks for distributional transforms.",
     )
@@ -795,10 +804,7 @@ def main(argv=None) -> int:
     try:
         env = load_env_from_args(args)
         return args.handler(env, args)
-    except DtlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DtlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -81,7 +81,7 @@ def make(components: Iterable[Component]) -> Cdf:
     comps = list(components)
     total = Fraction(0)
     atoms: dict[Fraction, Fraction] = {}
-    segs: list[Uniform] = []
+    steps: dict[Fraction, Fraction] = {}  # change of the density at each end of a uniform
     for c in comps:
         if c.w <= 0:
             raise SpecError(f"component weight {c.w} is not positive")
@@ -91,26 +91,22 @@ def make(components: Iterable[Component]) -> Cdf:
         else:
             if c.a >= c.b:
                 raise SpecError(f"uniform needs a < b, got [{c.a}, {c.b}]")
-            segs.append(c)
+            d = c.w / (c.b - c.a)
+            steps[c.a] = steps.get(c.a, 0) + d
+            steps[c.b] = steps.get(c.b, 0) - d
     if total != 1:
         raise SpecError(f"weights sum to {total}, not 1")
 
-    xs = sorted(set(atoms) | {s.a for s in segs} | {s.b for s in segs})
-
-    def mass_below_or_at(x: Fraction) -> Fraction:
-        m = sum((w for loc, w in atoms.items() if loc <= x), Fraction(0))
-        for s in segs:
-            if x >= s.b:
-                m += s.w
-            elif x > s.a:
-                m += s.w * (x - s.a) / (s.b - s.a)
-        return m
-
+    # One sorted pass: `mass` is the mass below x, `density` the density just below x.
     bps = []
-    for x in xs:
-        at = mass_below_or_at(x)
-        left = at - atoms.get(x, Fraction(0))
-        bps.append(Breakpoint(x, left, at, at))
+    mass = density = Fraction(0)
+    prev = None
+    for x in sorted(atoms.keys() | steps.keys()):
+        if density:
+            mass += density * (x - prev)
+        at = mass + atoms.get(x, 0)
+        bps.append(Breakpoint(x, mass, at, at))
+        mass, density, prev = at, density + steps.get(x, 0), x
     return Cdf(PiecewiseMonotone(tuple(bps), (Fraction(0), Fraction(0))))
 
 

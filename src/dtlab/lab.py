@@ -209,20 +209,27 @@ def set_commute_check(
     else:
         raise ValueError(f"unknown family {family!r}")
     law = f"set-commute-{family}"
+    images: dict[int, Cdf] = {}  # form(F) of each corpus entry, shared by every probe
+
+    def form_once(F: Cdf) -> Cdf:
+        if id(F) not in images:
+            images[id(F)] = form(F)
+        return images[id(F)]
+
     total = 0
     for probe in probes:
         if family == "distortions" and not probe.cls.right_continuous:
             raise ClassError("distortion probes must be right-continuous")
         partner = wrap(pwfn.compose(g.fn, pwfn.compose(probe.fn, inv)))
         res = _composed_equal(
-            lambda F: apply(partner, F), form, form, lambda F: apply(probe, F), corpus, law
+            lambda F: apply(partner, F), form_once, form, lambda F: apply(probe, F), corpus, law
         )
         if isinstance(res, Witness):
             return res
         total += res.count
         partner_r = wrap(pwfn.compose(inv, pwfn.compose(probe.fn, g.fn)))
         res = _composed_equal(
-            form, lambda F: apply(partner_r, F), lambda F: apply(probe, F), form, corpus, law
+            form, lambda F: apply(partner_r, F), lambda F: apply(probe, F), form_once, corpus, law
         )
         if isinstance(res, Witness):
             return res

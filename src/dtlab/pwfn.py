@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,14 +28,20 @@ from .errors import DomainError, NotInvertibleError, ParseError
 Rat = Fraction
 
 
+_RAT_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def rat(value) -> Fraction:
     """Coerce ints and strings like ``"3/4"`` to an exact rational.
 
     Floats are refused, since most decimal fractions have no exact binary
-    value; malformed strings and zero denominators raise `ParseError`.
+    value.  Strings must be an integer or ``p/q`` (no decimals, exponents or
+    spaces); other text and zero denominators raise `ParseError`.
     """
     if isinstance(value, float):
         raise ParseError(f"{value!r} is a float; write it as an integer or p/q")
+    if isinstance(value, str) and not _RAT_TEXT.fullmatch(value):
+        raise ParseError(f"{value!r} is not a rational; write it as an integer or p/q")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -120,23 +127,27 @@ class PiecewiseMonotone:
     def _canonical(self, bps: tuple[Breakpoint, ...]) -> tuple[Breakpoint, ...]:
         n = len(bps)
         keep = []
+        # Slope of the segment ending at bps[i], when bps[i - 1] computed it;
+        # two neighbouring continuous points share their segment's slope.
+        carried = None
         for i, b in enumerate(bps):
-            if self.tails is None and (i == 0 or i == n - 1):
+            after = None
+            if (self.tails is None and i in (0, n - 1)) or not (b.left == b.at == b.right):
                 keep.append(b)
-                continue
-            if not (b.left == b.at == b.right):
-                keep.append(b)
-                continue
-            if i > 0:
-                before = _slope(bps[i - 1].x, bps[i - 1].right, b.x, b.at)
             else:
-                before = self.tails[0]
-            if i < n - 1:
-                after = _slope(b.x, b.at, bps[i + 1].x, bps[i + 1].left)
-            else:
-                after = self.tails[1]
-            if before != after:
-                keep.append(b)
+                if i == 0:
+                    before = self.tails[0]
+                elif carried is not None:
+                    before = carried
+                else:
+                    before = _slope(bps[i - 1].x, bps[i - 1].right, b.x, b.at)
+                if i < n - 1:
+                    after = _slope(b.x, b.at, bps[i + 1].x, bps[i + 1].left)
+                else:
+                    after = self.tails[1]
+                if before != after:
+                    keep.append(b)
+            carried = after
         if not keep:
             # Pure affine function on the reals; anchor it at x = 0.
             b0 = bps[0]
@@ -178,7 +189,8 @@ class PiecewiseMonotone:
         At the ends of a bounded domain the one-sided limit that points
         outside falls back to the endpoint value.
         """
-        x = rat(x)
+        if type(x) is not Fraction:
+            x = rat(x)
         bps, xs = self.breakpoints, self._xs
         if x < xs[0]:
             if self.is_bounded:
@@ -200,32 +212,6 @@ class PiecewiseMonotone:
 
     def __call__(self, x) -> Fraction:
         return self.eval3(x)[1]
-
-    def _flat_right_of(self, x: Fraction) -> bool | None:
-        """Whether the function is constant just above x; None if x is the
-        upper end of a bounded domain."""
-        bps, xs = self.breakpoints, self._xs
-        if x >= xs[-1]:
-            if self.is_bounded:
-                return None if x == xs[-1] else False
-            return self.tails[1] == 0
-        if x < xs[0]:
-            return self.tails[0] == 0
-        i = bisect_left(xs, x)
-        if xs[i] != x:
-            i -= 1
-        return bps[i].right == bps[i + 1].left
-
-    def _flat_left_of(self, x: Fraction) -> bool | None:
-        bps, xs = self.breakpoints, self._xs
-        if x <= xs[0]:
-            if self.is_bounded:
-                return None if x == xs[0] else False
-            return self.tails[0] == 0
-        if x > xs[-1]:
-            return self.tails[1] == 0
-        i = bisect_left(xs, x)
-        return bps[i - 1].right == bps[i].left
 
 
 # -- constructors ----------------------------------------------------------
@@ -374,64 +360,67 @@ def _first_where(op, f, g, xs):
 
 
 def compose(f: PiecewiseMonotone, g: PiecewiseMonotone) -> PiecewiseMonotone:
-    """Canonical representation of f o g.
+    """Canonical representation of f o g, built in one sweep along g.
 
     One-sided limits are composed symbolically: the right limit of f o g at
-    x is f evaluated at g(x+), using f's own right limit there unless g is
-    locally constant just above x.
+    a breakpoint x of g is f evaluated at g(x+), using f's own right limit
+    there unless g is locally constant just above x.  Inside a rising
+    segment or tail of g, f o g breaks only where g crosses an abscissa of
+    f, and there it carries f's own triple.
     """
     glo, ghi = g.value_bounds()
-    if f.is_bounded:
-        if glo < f.lo or ghi > f.hi:
-            raise DomainError("range of the inner function leaves the outer domain")
-
-    xs: set[Fraction] = {b.x for b in g.breakpoints}
-    targets = [b.x for b in f.breakpoints]
+    if f.is_bounded and (glo < f.lo or ghi > f.hi):
+        raise DomainError("range of the inner function leaves the outer domain")
     gbps = g.breakpoints
-    for a, c in zip(gbps, gbps[1:]):
-        lo_v, hi_v = a.right, c.left
-        if lo_v == hi_v:
-            continue
-        slope = _slope(a.x, lo_v, c.x, hi_v)
-        for t in targets:
-            if lo_v <= t <= hi_v:
-                xs.add(a.x + (t - lo_v) / slope)
-    if not g.is_bounded:
-        s_lo, s_hi = g.tails
-        if s_lo > 0:
-            for t in targets:
-                if t <= gbps[0].left:
-                    xs.add(gbps[0].x - (gbps[0].left - t) / s_lo)
-        if s_hi > 0:
-            for t in targets:
-                if t >= gbps[-1].right:
-                    xs.add(gbps[-1].x + (t - gbps[-1].right) / s_hi)
-
-    out = []
-    for x in sorted(xs):
-        gl, ga, gr = g.eval3(x)
-        at = f(ga)
-        flat_r = g._flat_right_of(x)
-        if flat_r is None:
-            right = at
-        elif flat_r:
-            right = f(gr)
+    n = len(gbps)
+    s_lo, s_hi = (0, 0) if g.is_bounded else g.tails
+    out: list[Breakpoint] = []
+    j = 0  # the abscissas of f before j are placed or passed
+    for i, b in enumerate(gbps):
+        if i == 0:
+            flat_l = s_lo == 0
+            if not flat_l:
+                j = _preimages(out, f, j, b.x, b.left, s_lo, NEG_INF, b.left)
         else:
-            right = f.eval3(gr)[2]
-        flat_l = g._flat_left_of(x)
-        if flat_l is None:
-            left = at
-        elif flat_l:
-            left = f(gl)
-        else:
-            left = f.eval3(gl)[0]
-        out.append(Breakpoint(x, left, at, right))
+            a = gbps[i - 1]
+            flat_l = a.right == b.left
+            if not flat_l:
+                slope = _slope(a.x, a.right, b.x, b.left)
+                j = _preimages(out, f, j, a.x, a.right, slope, a.right, b.left)
+        flat_r = b.right == gbps[i + 1].left if i < n - 1 else s_hi == 0
+        fl = f.eval3(b.left)
+        fa = fl if b.at == b.left else f.eval3(b.at)
+        fr = fa if b.right == b.at else f.eval3(b.right)
+        out.append(Breakpoint(b.x, fl[1] if flat_l else fl[0], fa[1], fr[1] if flat_r else fr[2]))
+    if s_hi > 0:
+        b = gbps[-1]
+        _preimages(out, f, j, b.x, b.right, s_hi, b.right, POS_INF)
 
     if g.is_bounded:
         return PiecewiseMonotone(tuple(out), None)
     s_lo = f.tails[0] * g.tails[0] if g.tails[0] > 0 else Fraction(0)
     s_hi = f.tails[1] * g.tails[1] if g.tails[1] > 0 else Fraction(0)
     return PiecewiseMonotone(tuple(out), (s_lo, s_hi))
+
+
+def _preimages(out, f, j, x0, v0, slope, lo_v, hi_v) -> int:
+    """Append f's breakpoints whose abscissa t lies strictly between lo_v
+    and hi_v, each moved to x0 + (t - v0) / slope, its preimage under one
+    rising piece of the inner function; return the index the walk of f's
+    abscissas stopped at.
+
+    The value ranges of successive rising pieces are disjoint and
+    increasing, so the walk only moves forward.
+    """
+    fbps, fxs = f.breakpoints, f._xs
+    m = len(fxs)
+    while j < m and fxs[j] <= lo_v:
+        j += 1
+    while j < m and fxs[j] < hi_v:
+        t = fbps[j]
+        out.append(Breakpoint(x0 + (t.x - v0) / slope, t.left, t.at, t.right))
+        j += 1
+    return j
 
 
 def strict_inverse(f: PiecewiseMonotone) -> PiecewiseMonotone:

@@ -251,6 +251,25 @@ def test_malformed_rational_in_spec_file_exits_2(capsys, tmp_path):
     assert code == 2 and err.startswith("error: line 2: ")
 
 
+@pytest.mark.parametrize("x", ["0.5", ".5", "1e-1", "1e3"])
+def test_decimal_and_exponent_rationals_exit_2(capsys, spec_file, x):
+    code, out, err = run(capsys, ["eval", "u_lin", x, "--spec", spec_file])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "integer or p/q" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["u_lin", "-3/4"], ["u_lin", "--", "-3/4"]])
+def test_negative_fraction_is_a_positional(capsys, spec_file, argv):
+    code, out, err = run(capsys, ["eval", "--spec", spec_file, *argv])
+    assert code == 0 and out == "left=3/2 at=3/2 right=3/2\n" and err == ""
+
+
+def test_unknown_flag_still_exits_2(capsys, spec_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--spec", spec_file, "u_lin", "1/2", "--bogus"])
+    assert exc.value.code == 2 and "--bogus" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("iters", ["-5", "0"])
 def test_fuzz_iters_below_one_exits_2(capsys, iters):
     code, out, err = run(capsys, ["fuzz", "commute", "--iters", iters])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtlab.dist import (
+    Atom,
     Cdf,
     atom,
     bernoulli,
@@ -82,6 +83,57 @@ def test_make_decompose_roundtrip_on_corpus():
         atoms, segs = decompose(F)
         again = make(list(atoms) + list(segs))
         assert equals(F, again)
+
+
+def brute_mass(components, x, include_x: bool) -> Q:
+    """Mass below x (at or below when include_x): every atom and every
+    uniform stretch clipped to its interval, summed one by one."""
+    m = Q(0)
+    for c in components:
+        if isinstance(c, Atom):
+            if c.x < x or (include_x and c.x == x):
+                m += c.w
+        else:
+            m += c.w * min(max((x - c.a) / (c.b - c.a), Q(0)), Q(1))
+    return m
+
+
+@st.composite
+def mixtures(draw):
+    """Atoms and uniforms on a coarse grid, so atoms coincide and uniforms
+    overlap, share ends or touch atoms; integer weights normalised to 1."""
+    weights = draw(st.lists(st.integers(1, 9), min_size=1, max_size=9))
+    total = sum(weights)
+    comps = []
+    for w in weights:
+        if draw(st.booleans()):
+            comps.append(atom(Q(draw(st.integers(-4, 4)), 2), Q(w, total)))
+        else:
+            a = Q(draw(st.integers(-6, 4)), 2)
+            comps.append(unif(a, a + Q(draw(st.integers(1, 6)), 3), Q(w, total)))
+    return comps
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixtures())
+def test_make_matches_brute_force_mass(comps):
+    F = make(comps)
+    xs = sorted({c.x for c in comps if isinstance(c, Atom)}
+                | {e for c in comps if not isinstance(c, Atom) for e in (c.a, c.b)})
+    assert F.support == (xs[0], xs[-1])
+    probes = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [xs[0] - 1, xs[-1] + 1]
+    for x in probes:
+        at = brute_mass(comps, x, True)
+        assert F.eval3(x) == (brute_mass(comps, x, False), at, at), x
+
+
+def test_make_stacks_coincident_atoms_and_overlapping_uniforms():
+    comps = [atom(0, Q(1, 4)), atom(0, Q(1, 8)), unif(-1, 1, Q(1, 4)), unif(0, 2, Q(3, 8))]
+    F = make(comps)
+    assert F.eval3(0) == (Q(1, 8), Q(1, 2), Q(1, 2))
+    assert F(1) == Q(3, 8) + Q(1, 4) + Q(3, 16)
+    for x in grid(-2, 3, 8):
+        assert F(x) == brute_mass(comps, x, True)
 
 
 # -- quantiles -----------------------------------------------------------------

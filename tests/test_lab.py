@@ -25,6 +25,7 @@ from dtlab.lab import (
     gen,
     gen_cdf,
     gen_distortion,
+    gen_utility,
     lsc_check,
     monotone_check,
     pairing_formula_value,
@@ -116,6 +117,22 @@ def test_set_commute_identity_form_passes():
     form = RduForm(identity_distortion(), identity_utility())
     res = set_commute_check(form, "utilities", [affine_utility(1, 5)], CORPUS)
     assert isinstance(res, Pass)
+
+
+def test_set_commute_evaluates_the_form_once_per_corpus_entry():
+    calls = []
+
+    class CountingForm(RduForm):
+        def __call__(self, F):
+            calls.append(F)
+            return super().__call__(F)
+
+    form = CountingForm(gen_distortion(3, "df"), gen_utility(5, "uf-strict"))
+    probes = [gen_utility(7, "uf"), gen_utility(8, "uf")]
+    res = set_commute_check(form, "utilities", probes, CORPUS)
+    assert isinstance(res, Pass) and res.count == 2 * 2 * len(CORPUS)
+    # form(F) once per entry, plus form(probe(F)) and form(partner(F)) per probe
+    assert len(calls) == len(CORPUS) + 2 * 2 * len(CORPUS)
 
 
 def test_set_commute_class_preconditions():

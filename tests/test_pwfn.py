@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dtlab import pwfn
 from dtlab.errors import DomainError, NotInvertibleError, ParseError
-from dtlab.lab import gen_distortion, gen_utility
+from dtlab.lab import DISTORTION_KINDS, KINDS, gen, gen_distortion, gen_utility
 from dtlab.pwfn import (
     NEG_INF,
     POS_INF,
@@ -111,6 +111,20 @@ def test_rat_rejects_floats_and_malformed_text():
     for bad in (0.1, 0.5, "1/0", "abc"):
         with pytest.raises(ParseError):
             pwfn.rat(bad)
+
+
+@pytest.mark.parametrize(
+    "text", ["0.5", ".5", "1e-1", "1e3", " 3/4", "3 / 4", "+3", "1_000", "3/-4"]
+)
+def test_rat_accepts_only_integer_and_fraction_text(text):
+    with pytest.raises(ParseError):
+        pwfn.rat(text)
+
+
+def test_rat_reads_integer_and_fraction_text():
+    assert [pwfn.rat(t) for t in ("7", "-7", "0", "-0", "6/8", "-3/4")] == [
+        7, -7, 0, 0, Q(3, 4), Q(-3, 4)
+    ]
 
 
 # -- right_inverse --------------------------------------------------------------
@@ -221,6 +235,67 @@ def test_compose_associativity_on_distortions(seed):
     d2 = gen_distortion(seed * 3 + 1, "df").fn
     d3 = gen_distortion(seed * 3 + 2, "df").fn
     assert compose(d1, compose(d2, d3)) == compose(compose(d1, d2), d3)
+
+
+def _extrapolated(f, g, y, step):
+    """Limit of f(g(z)) as z -> y from the side of `step`, assuming f o g is
+    affine between y and y + 2 * step."""
+    return 2 * f(g(y + step)) - f(g(y + 2 * step))
+
+
+def _kinks_of_composite(f, g, h):
+    """Every abscissa where f o g may break: g's breakpoints, h's, and the
+    preimages under g of f's breakpoints (found with `right_inverse`)."""
+    points = {b.x for b in g.breakpoints} | {b.x for b in h.breakpoints}
+    for b in f.breakpoints:
+        y = right_inverse(g, b.x)
+        if y not in (NEG_INF, POS_INF) and g.in_domain(y):
+            points.add(y)
+    return sorted(points)
+
+
+@st.composite
+def composable_pairs(draw):
+    """(outer, inner) drawn from the generators of every kind at complexity
+    1-14, with the inner range inside the outer domain."""
+    outer = draw(st.sampled_from([k for k in KINDS if k != "cdf"]))
+    inners = KINDS if outer not in DISTORTION_KINDS else DISTORTION_KINDS + ("cdf",)
+    inner = draw(st.sampled_from(inners))
+    seeds, levels = st.integers(0, 10**6), st.integers(1, 14)
+    f = gen(draw(seeds), outer, draw(levels)).fn
+    g = gen(draw(seeds), inner, draw(levels)).fn
+    return f, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(composable_pairs())
+def test_compose_matches_pointwise_composition_oracle(pair):
+    f, g = pair
+    h = compose(f, g)
+    assert h.is_bounded == g.is_bounded
+    if g.is_bounded:
+        assert (h.lo, h.hi) == (g.lo, g.hi)
+    points = _kinks_of_composite(f, g, h)
+    for k, y in enumerate(points):
+        if k > 0:
+            left = _extrapolated(f, g, y, (points[k - 1] - y) / 3)
+        elif g.is_bounded:
+            left = f(g(y))
+        else:
+            left = _extrapolated(f, g, y, Q(-1))
+        if k < len(points) - 1:
+            right = _extrapolated(f, g, y, (points[k + 1] - y) / 3)
+        elif g.is_bounded:
+            right = f(g(y))
+        else:
+            right = _extrapolated(f, g, y, Q(1))
+        assert h.eval3(y) == (left, f(g(y)), right), y
+    probes = [(a + b) / 2 for a, b in zip(points, points[1:])]
+    if not g.is_bounded:
+        probes += [points[0] - 1, points[0] - 2, points[-1] + 1, points[-1] + 2]
+    for y in probes:
+        v = f(g(y))
+        assert h.eval3(y) == (v, v, v), y
 
 
 # -- strict_inverse ----------------------------------------------------------------
