@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lab, pwfn
-from .dist import Cdf, atom, decompose, make, unif, uniform
+from .dist import Cdf, atom, bernoulli, decompose, dirac, left_quantile, make, right_quantile, unif, uniform
 from .errors import DtlabError, ParseError, UnknownExample
 from .lab import (
     Corpus,
@@ -38,6 +38,8 @@ from .transform import (
     RduForm,
     TransformWord,
     Utility,
+    apply_distortion,
+    apply_utility,
     apply_word,
     conjugate_distortion,
     conjugate_utility,
@@ -48,7 +50,6 @@ from .transform import (
     rank_dependent_value,
     value_at_risk,
 )
-from .dist import bernoulli, dirac, equals, right_quantile
 
 
 # -- tokenizer and parser -----------------------------------------------------
@@ -123,6 +124,25 @@ class Parser:
         except ParseError as exc:
             raise ParseError(str(exc), tok.line) from None
 
+    def rationals(self, n: int, open: str, close: str) -> list[Fraction]:
+        """`open` r `,` ... `,` r `close` with n rationals."""
+        self.expect(open)
+        values = [self.rational()]
+        for _ in range(n - 1):
+            self.expect(",")
+            values.append(self.rational())
+        self.expect(close)
+        return values
+
+    def more(self, close: str) -> bool:
+        """The separator after a list item: True on `,`, False on `close`."""
+        sep = self.next()
+        if sep.text == close:
+            return False
+        if sep.text != ",":
+            raise ParseError(f"expected ',' or {close!r}, found {sep.text!r}", sep.line)
+        return True
+
     def name(self) -> str:
         tok = self.next()
         if tok.kind != "name":
@@ -147,51 +167,23 @@ def parse_mix(p: Parser) -> Cdf:
     while True:
         tok = p.next()
         if tok.text == "atom":
-            p.expect("(")
-            x = p.rational()
-            p.expect(",")
-            w = p.rational()
-            p.expect(")")
-            comps.append(atom(x, w))
+            comps.append(atom(*p.rationals(2, "(", ")")))
         elif tok.text == "unif":
-            p.expect("(")
-            a = p.rational()
-            p.expect(",")
-            b = p.rational()
-            p.expect(",")
-            w = p.rational()
-            p.expect(")")
-            comps.append(unif(a, b, w))
+            comps.append(unif(*p.rationals(3, "(", ")")))
         else:
             raise ParseError(f"expected atom or unif, found {tok.text!r}", tok.line)
-        sep = p.next()
-        if sep.text == ")":
-            break
-        if sep.text != ",":
-            raise ParseError(f"expected ',' or ')', found {sep.text!r}", sep.line)
-    return make(comps)
+        if not p.more(")"):
+            return make(comps)
 
 
 def parse_pw(p: Parser) -> PiecewiseMonotone:
     start = p.expect("pw")
     p.expect("{")
     tok = p.next()
-    bounds = None
-    tails = None
     if tok.text == "domain":
-        p.expect("[")
-        a = p.rational()
-        p.expect(",")
-        b = p.rational()
-        p.expect("]")
-        bounds = (a, b)
+        bounds, tails = tuple(p.rationals(2, "[", "]")), None
     elif tok.text == "reals":
-        p.expect("(")
-        s_lo = p.rational()
-        p.expect(",")
-        s_hi = p.rational()
-        p.expect(")")
-        tails = (s_lo, s_hi)
+        bounds, tails = None, p.rationals(2, "(", ")")
     else:
         raise ParseError(f"expected domain or reals, found {tok.text!r}", tok.line)
     p.expect(";")
@@ -202,16 +194,13 @@ def parse_pw(p: Parser) -> PiecewiseMonotone:
         x = p.rational()
         p.expect(":")
         left = p.rational()
-        nxt = p.next()
-        if nxt.text == ",":
+        if p.more(")"):
             at = p.rational()
             p.expect(",")
             right = p.rational()
             p.expect(")")
-        elif nxt.text == ")":
-            at = right = left
         else:
-            raise ParseError(f"expected ',' or ')', found {nxt.text!r}", nxt.line)
+            at = right = left
         points.append(pwfn.Breakpoint(x, left, at, right))
     p.expect(";")
     p.expect("}")
@@ -256,15 +245,11 @@ def parse_word_literal(p: Parser, env: Env) -> TransformWord:
                 steps.append(Push(Utility(fn)))
         except DtlabError as exc:
             raise ParseError(str(exc), tok.line) from exc
-        sep = p.next()
-        if sep.text == "]":
-            break
-        if sep.text != ",":
-            raise ParseError(f"expected ',' or ']', found {sep.text!r}", sep.line)
-    return TransformWord(tuple(steps))
+        if not p.more("]"):
+            return TransformWord(tuple(steps))
 
 
-def _lookup_fn(env: Env, name: str, line: int) -> PiecewiseMonotone:
+def _lookup_fn(env: Env, name: str, line: int | None) -> PiecewiseMonotone:
     if name not in env.fns:
         raise ParseError(f"unknown function {name!r}", line)
     return env.fns[name]
@@ -272,43 +257,28 @@ def _lookup_fn(env: Env, name: str, line: int) -> PiecewiseMonotone:
 
 def load_env(text: str) -> Env:
     env = Env()
+    decls = {
+        "dist": (env.dists, parse_mix),
+        "fn": (env.fns, parse_pw),
+        "word": (env.words, lambda p: parse_word_literal(p, env)),
+    }
     p = Parser(tokenize(text))
     while not p.done():
         tok = p.next()
-        if tok.text == "dist":
-            name = p.name()
-            _check_fresh(env, name, tok.line)
-            p.expect("=")
-            try:
-                env.dists[name] = parse_mix(p)
-            except DtlabError as exc:
-                _reraise(exc, tok.line)
-        elif tok.text == "fn":
-            name = p.name()
-            _check_fresh(env, name, tok.line)
-            p.expect("=")
-            env.fns[name] = parse_pw(p)
-        elif tok.text == "word":
-            name = p.name()
-            _check_fresh(env, name, tok.line)
-            p.expect("=")
-            env.words[name] = parse_word_literal(p, env)
-        else:
-            raise ParseError(
-                f"expected dist, fn or word, found {tok.text!r}", tok.line
-            )
+        if tok.text not in decls:
+            raise ParseError(f"expected dist, fn or word, found {tok.text!r}", tok.line)
+        table, parse = decls[tok.text]
+        name = p.name()
+        if name in env.dists or name in env.fns or name in env.words:
+            raise ParseError(f"duplicate name {name!r}", tok.line)
+        p.expect("=")
+        try:
+            table[name] = parse(p)
+        except ParseError:
+            raise
+        except DtlabError as exc:
+            raise ParseError(str(exc), tok.line) from exc
     return env
-
-
-def _check_fresh(env: Env, name: str, line: int) -> None:
-    if name in env.dists or name in env.fns or name in env.words:
-        raise ParseError(f"duplicate name {name!r}", line)
-
-
-def _reraise(exc: DtlabError, line: int):
-    if isinstance(exc, ParseError):
-        raise exc
-    raise ParseError(str(exc), line) from exc
 
 
 # -- serialization ---------------------------------------------------------------
@@ -354,28 +324,25 @@ def serialize_word(w: TransformWord) -> str:
 _PRIM = re.compile(r"^(distort|push)\((\w+)\)$")
 
 
-def resolve_dist(env: Env, s: str) -> Cdf:
-    if s in env.dists:
-        return env.dists[s]
-    if s.startswith("mix"):
+def _resolve(table: dict, s: str, keyword: str, parse, what: str):
+    """A declared name from `table`, or a literal that starts with `keyword`."""
+    if s in table:
+        return table[s]
+    if s.startswith(keyword):
         p = Parser(tokenize(s))
-        F = parse_mix(p)
+        value = parse(p)
         if not p.done():
-            raise ParseError(f"trailing input after distribution literal {s!r}")
-        return F
-    raise ParseError(f"unknown distribution {s!r}")
+            raise ParseError(f"trailing input after {what} literal {s!r}")
+        return value
+    raise ParseError(f"unknown {what} {s!r}")
+
+
+def resolve_dist(env: Env, s: str) -> Cdf:
+    return _resolve(env.dists, s, "mix", parse_mix, "distribution")
 
 
 def resolve_fn(env: Env, s: str) -> PiecewiseMonotone:
-    if s in env.fns:
-        return env.fns[s]
-    if s.startswith("pw"):
-        p = Parser(tokenize(s))
-        f = parse_pw(p)
-        if not p.done():
-            raise ParseError(f"trailing input after function literal {s!r}")
-        return f
-    raise ParseError(f"unknown function {s!r}")
+    return _resolve(env.fns, s, "pw", parse_pw, "function")
 
 
 def resolve_word(env: Env, s: str) -> tuple[str, TransformWord]:
@@ -385,19 +352,27 @@ def resolve_word(env: Env, s: str) -> tuple[str, TransformWord]:
     m = _PRIM.match(s)
     if m:
         kind, name = m.groups()
-        fn = _lookup_fn(env, name, 0) if name in env.fns else resolve_fn(env, name)
+        fn = _lookup_fn(env, name, None)
         if kind == "distort":
             return s, TransformWord((Distort(Distortion(fn)),))
         return s, TransformWord((Push(Utility(fn)),))
     raise ParseError(f"unknown transform {s!r}")
 
 
+def _read(path: str) -> str:
+    """The text of a declaration file, which must be UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_corpus(args, env: Env) -> Corpus:
     spec = getattr(args, "corpus", "default")
     if spec == "default":
         return canonical_corpus()
-    with open(spec, "r", encoding="utf-8") as fh:
-        sub = load_env(fh.read())
+    sub = load_env(_read(spec))
     if not sub.dists:
         raise ParseError(f"corpus file {spec!r} declares no distributions")
     return Corpus(tuple(sub.dists.items()))
@@ -406,9 +381,12 @@ def load_corpus(args, env: Env) -> Corpus:
 # -- commands ---------------------------------------------------------------------
 
 
-def cmd_quantile(env: Env, args) -> int:
-    from .dist import left_quantile, right_quantile
+def _law(res) -> int:
+    print(res.report())
+    return 0 if isinstance(res, Pass) else 1
 
+
+def cmd_quantile(env: Env, args) -> int:
     F = resolve_dist(env, args.dist)
     t = rat(args.level)
     q = left_quantile(F, t) if args.side == "left" else right_quantile(F, t)
@@ -461,9 +439,7 @@ def cmd_commute(env: Env, args) -> int:
     name1, w1 = resolve_word(env, args.t1)
     name2, w2 = resolve_word(env, args.t2)
     corpus = load_corpus(args, env)
-    res = commute_check(w1, w2, corpus, law=f"commute({name1},{name2})")
-    print(res.report())
-    return 0 if isinstance(res, Pass) else 1
+    return _law(commute_check(w1, w2, corpus, law=f"commute({name1},{name2})"))
 
 
 def cmd_setcommute(env: Env, args) -> int:
@@ -475,17 +451,13 @@ def cmd_setcommute(env: Env, args) -> int:
         probes = [Utility(resolve_fn(env, s)) for s in args.probes]
     else:
         probes = [Distortion(resolve_fn(env, s)) for s in args.probes]
-    res = set_commute_check(form, args.family, probes, corpus)
-    print(res.report())
-    return 0 if isinstance(res, Pass) else 1
+    return _law(set_commute_check(form, args.family, probes, corpus))
 
 
 def cmd_monotone(env: Env, args) -> int:
     name, w = resolve_word(env, args.transform)
     corpus = load_corpus(args, env)
-    res = monotone_check(w, corpus, law=f"monotone({name})")
-    print(res.report())
-    return 0 if isinstance(res, Pass) else 1
+    return _law(monotone_check(w, corpus, law=f"monotone({name})"))
 
 
 def cmd_lsc(env: Env, args) -> int:
@@ -522,29 +494,24 @@ def cmd_normal_form(env: Env, args) -> int:
     return 0
 
 
+# Fuzz targets: (iters, seed, corpus) -> result.  Each looks `lab.fuzz_*` up at
+# call time, so a wrapper installed on the lab module is the one that runs.
+FUZZ = {
+    "commute": lambda *a: lab.fuzz_distort_push_commute(*a)[0],
+    "pairing": lambda *a: lab.fuzz_rc_left_pairing(*a),
+    "quantile": lambda *a: lab.fuzz_quantile_identity(*a),
+    "set-u": lambda *a: lab.fuzz_set_commute("utilities", *a),
+    "set-d": lambda *a: lab.fuzz_set_commute("distortions", *a),
+    "normal-form": lambda *a: lab.fuzz_normal_form(*a),
+    "collapse": lambda *a: lab.fuzz_collapse_nonrc(*a),
+}
+
+
 def cmd_fuzz(env: Env, args) -> int:
     if args.iters < 1:
         raise ParseError(f"--iters must be at least 1, got {args.iters}")
     corpus = lab.corpus_with_random(args.seed, extra=3)
-    law = args.law
-    if law == "commute":
-        res, _ = lab.fuzz_distort_push_commute(args.iters, args.seed, corpus)
-    elif law == "pairing":
-        res = lab.fuzz_rc_left_pairing(args.iters, args.seed, corpus)
-    elif law == "quantile":
-        res = lab.fuzz_quantile_identity(args.iters, args.seed, corpus)
-    elif law == "set-u":
-        res = lab.fuzz_set_commute("utilities", args.iters, args.seed, corpus)
-    elif law == "set-d":
-        res = lab.fuzz_set_commute("distortions", args.iters, args.seed, corpus)
-    elif law == "normal-form":
-        res = lab.fuzz_normal_form(args.iters, args.seed, corpus)
-    elif law == "collapse":
-        res = lab.fuzz_collapse_nonrc(args.iters, args.seed, corpus)
-    else:
-        raise ParseError(f"unknown fuzz law {law!r}")
-    print(res.report())
-    return 0 if isinstance(res, Pass) else 1
+    return _law(FUZZ[args.law](args.iters, args.seed, corpus))
 
 
 # -- built-in reproductions ---------------------------------------------------------
@@ -555,20 +522,21 @@ def _say(args, line: str) -> None:
         print(line)
 
 
+def _verdict(ok: bool) -> int:
+    print("verdict: MATCH" if ok else "verdict: MISMATCH")
+    return 0 if ok else 1
+
+
 def reproduce_example1(args) -> int:
     half = Fraction(1, 2)
     F = bernoulli(half)
     d = Distortion(pwfn.step_open(half))
     dhat = Distortion(pwfn.step_closed(half))
-    from .transform import apply_distortion
-
     got_d = apply_distortion(d, F)(0)
     got_dhat = apply_distortion(dhat, F)(0)
     _say(args, f"value at 0 after distorting with the jump-above step: expected 0 computed {format_rat(got_d)}")
     _say(args, f"value at 0 after distorting with its right-continuous version: expected 1 computed {format_rat(got_dhat)}")
-    ok = got_d == 0 and got_dhat == 1
-    print("verdict: MATCH" if ok else "verdict: MISMATCH")
-    return 0 if ok else 1
+    return _verdict(got_d == 0 and got_dhat == 1)
 
 
 def reproduce_example2(args) -> int:
@@ -583,9 +551,7 @@ def reproduce_example2(args) -> int:
     commute_ok = True
     for i in range(10):
         u = lab.gen_utility(args.seed * 577 + i, "uf")
-        res = commute_check(
-            median_mass, lambda F, u=u: lab.apply_utility(u, F), corpus
-        )
+        res = commute_check(median_mass, lambda F, u=u: apply_utility(u, F), corpus)
         if isinstance(res, Witness):
             commute_ok = False
             _say(args, res.report())
@@ -595,23 +561,17 @@ def reproduce_example2(args) -> int:
     res = lsc_check(median_mass, seq, limit, uniform(0, 1))
     print("lsc VIOLATED" if res.violated else "lsc HOLDS")
     d = Distortion(pwfn.step_open(half))
-    from .transform import apply_distortion
-
-    same = all(
-        equals(median_mass(F), apply_distortion(d, F)) for _, F in corpus
+    same = lab.commute_check_like_roundtrip(
+        median_mass, lambda F: apply_distortion(d, F), corpus, "median-mass-is-distortion"
     )
-    _say(args, f"equals distortion by the step above 1/2 on the corpus: {'MATCH' if same else 'MISMATCH'}")
-    ok = isinstance(mono, Pass) and commute_ok and res.violated and same
-    print("verdict: MATCH" if ok else "verdict: MISMATCH")
-    return 0 if ok else 1
+    _say(args, f"equals distortion by the step above 1/2 on the corpus: {'MATCH' if isinstance(same, Pass) else 'MISMATCH'}")
+    return _verdict(isinstance(mono, Pass) and commute_ok and res.violated and isinstance(same, Pass))
 
 
 def reproduce_appendix_e(args) -> int:
     half = Fraction(1, 2)
     u = Utility(pwfn.on_reals([pwfn.Breakpoint(half, half, half, half + 1)], 1, 1))
     d = Distortion(pwfn.step_open(half))
-    from .transform import apply_distortion, apply_utility
-
     F = uniform(0, 1)
     lhs = apply_distortion(d, apply_utility(u, F))(half)
     rhs = apply_utility(u, apply_distortion(d, F))(half)
@@ -623,9 +583,7 @@ def reproduce_appendix_e(args) -> int:
     )
     if isinstance(res, Witness):
         _say(args, res.report())
-    ok = lhs == 0 and rhs == 1 and isinstance(res, Witness) and res.x == half
-    print("verdict: MATCH" if ok else "verdict: MISMATCH")
-    return 0 if ok else 1
+    return _verdict(lhs == 0 and rhs == 1 and isinstance(res, Witness) and res.x == half)
 
 
 def reproduce_semigroup(args) -> int:
@@ -640,39 +598,29 @@ def reproduce_semigroup(args) -> int:
     form = normal_form(word)
     _say(args, f"normal form d = {serialize_fn(form.d.fn)}")
     _say(args, f"normal form u = {serialize_fn(form.u.fn)}")
-    corpus = canonical_corpus()
-    bad = [
-        name
-        for name, F in corpus
-        if not equals(apply_word(word, F), form(F))
-    ]
-    ok = not bad
-    print("verdict: MATCH" if ok else f"verdict: MISMATCH {' '.join(bad)}")
-    return 0 if ok else 1
+    res = lab.commute_check_like_roundtrip(
+        lambda F: apply_word(word, F), form, canonical_corpus(), "semigroup"
+    )
+    if isinstance(res, Witness):
+        _say(args, res.report())
+    return _verdict(isinstance(res, Pass))
 
 
-def reproduce_conjugacy_u(args) -> int:
-    u1 = Utility(pwfn.affine(2, 0))
-    u2 = Utility(pwfn.affine(1, 1))
-    u3 = conjugate_utility(u1, u2)
-    expected = pwfn.affine(1, 2)
-    _say(args, f"partner utility = {serialize_fn(u3.fn)} (expected {serialize_fn(expected)})")
-    identity_holds = pwfn.compose(u3.fn, u1.fn) == pwfn.compose(u1.fn, u2.fn)
-    ok = u3.fn == expected and identity_holds
-    print("verdict: MATCH" if ok else "verdict: MISMATCH")
-    return 0 if ok else 1
-
-
-def reproduce_conjugacy_d(args) -> int:
-    d = Distortion(pwfn.from_points([(0, 0), (Fraction(1, 2), Fraction(1, 4)), (1, 1)]))
-    d1 = Distortion(pwfn.step_open(Fraction(1, 2)))
-    d2 = conjugate_distortion(d, d1)
-    expected = pwfn.step_open(Fraction(1, 4))
-    _say(args, f"partner distortion = {serialize_fn(d2.fn)} (expected {serialize_fn(expected)})")
-    identity_holds = pwfn.compose(d2.fn, d.fn) == pwfn.compose(d.fn, d1.fn)
-    ok = d2.fn == expected and identity_holds
-    print("verdict: MATCH" if ok else "verdict: MISMATCH")
-    return 0 if ok else 1
+def reproduce_conjugacy(args) -> int:
+    """The partner of a probe under conjugation by g, for utilities or distortions."""
+    if args.id == "conjugacy-u":
+        what, conjugate = "utility", conjugate_utility
+        g, probe = Utility(pwfn.affine(2, 0)), Utility(pwfn.affine(1, 1))
+        expected = pwfn.affine(1, 2)
+    else:
+        what, conjugate = "distortion", conjugate_distortion
+        g = Distortion(pwfn.from_points([(0, 0), (Fraction(1, 2), Fraction(1, 4)), (1, 1)]))
+        probe = Distortion(pwfn.step_open(Fraction(1, 2)))
+        expected = pwfn.step_open(Fraction(1, 4))
+    partner = conjugate(g, probe)
+    _say(args, f"partner {what} = {serialize_fn(partner.fn)} (expected {serialize_fn(expected)})")
+    identity_holds = pwfn.compose(partner.fn, g.fn) == pwfn.compose(g.fn, probe.fn)
+    return _verdict(partner.fn == expected and identity_holds)
 
 
 REPRODUCTIONS = {
@@ -680,8 +628,8 @@ REPRODUCTIONS = {
     "example2": reproduce_example2,
     "appendixE": reproduce_appendix_e,
     "semigroup": reproduce_semigroup,
-    "conjugacy-u": reproduce_conjugacy_u,
-    "conjugacy-d": reproduce_conjugacy_d,
+    "conjugacy-u": reproduce_conjugacy,
+    "conjugacy-d": reproduce_conjugacy,
 }
 
 
@@ -774,10 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     x.set_defaults(handler=cmd_extract)
 
     z = sub.add_parser("fuzz", parents=[common])
-    z.add_argument(
-        "law",
-        choices=["commute", "pairing", "quantile", "set-u", "set-d", "normal-form", "collapse"],
-    )
+    z.add_argument("law", choices=FUZZ)
     z.set_defaults(handler=cmd_fuzz)
 
     n = sub.add_parser("normal-form", parents=[common])
@@ -794,8 +739,7 @@ def build_parser() -> argparse.ArgumentParser:
 def load_env_from_args(args) -> Env:
     if args.spec is None:
         return Env()
-    text = sys.stdin.read() if args.spec == "-" else open(args.spec, "r", encoding="utf-8").read()
-    return load_env(text)
+    return load_env(sys.stdin.read() if args.spec == "-" else _read(args.spec))
 
 
 def main(argv=None) -> int:

@@ -303,18 +303,11 @@ def extract_distortion(
             raise ExtractionError(f"probe at {p} returned {v}, not a cdf value")
         samples.append((p, v))
     values = [v for _, v in samples]
-    if any(a > b for a, b in zip(values, values[1:])) or (
-        samples and (values[0] < 0 or values[-1] > 1)
-    ):
+    if any(a > b for a, b in zip(values, values[1:])):
         raise ExtractionError("probe values are not increasing")
     pts = [(Fraction(0), Fraction(0))] + samples + [(Fraction(1), Fraction(1))]
     recovered = Distortion(pwfn.from_points(pts))
-    corpus = corpus or canonical_corpus()
-    res = commute_check_like_roundtrip(
-        t, lambda F: apply_distortion(recovered, F), corpus, "extract-distortion"
-    )
-    ok = isinstance(res, Pass)
-    return Extraction(recovered, tuple(samples), ok, None if ok else res)
+    return _round_trip(t, recovered, apply_distortion, samples, corpus, "extract-distortion")
 
 
 def extract_utility(
@@ -346,10 +339,15 @@ def extract_utility(
         s_lo = (samples[1][1] - samples[0][1]) / (samples[1][0] - samples[0][0])
         s_hi = (samples[-1][1] - samples[-2][1]) / (samples[-1][0] - samples[-2][0])
         fn = pwfn.on_reals([pwfn.bp(x, y) for x, y in samples], s_lo, s_hi)
-    recovered = Utility(fn)
-    corpus = corpus or canonical_corpus()
+    return _round_trip(t, Utility(fn), apply_utility, samples, corpus, "extract-utility")
+
+
+def _round_trip(
+    t: Transform, recovered: Distortion | Utility, apply, samples, corpus: Corpus | None, law: str
+) -> Extraction:
+    """Re-test a recovered generator against the box on the corpus."""
     res = commute_check_like_roundtrip(
-        t, lambda F: apply_utility(recovered, F), corpus, "extract-utility"
+        t, lambda F: apply(recovered, F), corpus or canonical_corpus(), law
     )
     ok = isinstance(res, Pass)
     return Extraction(recovered, tuple(samples), ok, None if ok else res)
@@ -365,12 +363,17 @@ def commute_check_like_roundtrip(
     """
     count = 0
     for name, F in corpus:
-        diff = first_difference(t(F), candidate(F))
-        if diff is not None:
-            x, a, b = diff
-            return Witness(law, name, F, x, a, b)
+        witness = _differ(law, name, F, t(F), candidate(F))
+        if witness is not None:
+            return witness
         count += 1
     return Pass(law, count)
+
+
+def _differ(law: str, name: str, F: Cdf, lhs: Cdf, rhs: Cdf) -> Witness | None:
+    """The witness at the first difference of lhs and rhs, or None when they are equal."""
+    diff = first_difference(lhs, rhs)
+    return None if diff is None else Witness(law, name, F, *diff)
 
 
 # -- seeded generators ----------------------------------------------------------
@@ -530,13 +533,19 @@ def first_fn_difference(f: PiecewiseMonotone, g: PiecewiseMonotone):
     """
     if f == g:
         return None
-    xs = sorted({b.x for b in f.breakpoints} | {b.x for b in g.breakpoints})
-    probes = [xs[0] - 1] + xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [xs[-1] + 1]
-    inside = [x for x in sorted(set(probes)) if f.in_domain(x) and g.in_domain(x)]
+    probes = _probe_grid([b.x for b in f.breakpoints + g.breakpoints])
+    inside = [x for x in probes if f.in_domain(x) and g.in_domain(x)]
     found = _first_where(ne, f, g, inside)
     if found is None:
         raise AssertionError("functions differ but no probe separates them")
     return found
+
+
+def _probe_grid(xs: Sequence[Fraction]) -> list[Fraction]:
+    """Ascending: the distinct xs, the midpoints between them, and one point beyond each end."""
+    xs = sorted(set(xs))
+    mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    return sorted([xs[0] - 1, *xs, *mids, xs[-1] + 1])
 
 
 # -- fuzz drivers -----------------------------------------------------------------
@@ -554,6 +563,17 @@ def pairing_formula_value(d: Distortion, u: Utility, F: Cdf, x) -> Fraction:
     return d(fy)
 
 
+def _fuzz(law: str, iters: int, corpus: Corpus, step) -> CheckResult:
+    """The seeded fuzz loop: iteration i runs ``step(i, name, F)`` on corpus
+    entry i mod |corpus|; the first witness it returns ends the run."""
+    entries = corpus.entries
+    for i in range(iters):
+        witness = step(i, *entries[i % len(entries)])
+        if witness is not None:
+            return witness
+    return Pass(law, iters)
+
+
 def fuzz_distort_push_commute(
     iters: int, seed: int, corpus: Corpus
 ) -> tuple[CheckResult, int]:
@@ -561,67 +581,55 @@ def fuzz_distort_push_commute(
 
     Also reports how many sampled distortions carried a jump.
     """
-    jumps = 0
-    count = 0
-    entries = corpus.entries
-    for i in range(iters):
+    law, jumps = "distort-push-commute", 0
+
+    def step(i, name, F):
+        nonlocal jumps
         d = gen_distortion(seed * 7919 + i, "df")
         u = gen_utility(seed * 104729 + i, "uf")
         if not d.cls.continuous:
             jumps += 1
-        name, F = entries[i % len(entries)]
         lhs = apply_distortion(d, apply_utility(u, F))
         rhs = apply_utility(u, apply_distortion(d, F))
-        diff = first_difference(lhs, rhs)
-        if diff is not None:
-            return Witness("distort-push-commute", name, F, *diff), jumps
-        count += 1
-    return Pass("distort-push-commute", count), jumps
+        return _differ(law, name, F, lhs, rhs)
+
+    return _fuzz(law, iters, corpus, step), jumps
 
 
 def fuzz_rc_left_pairing(iters: int, seed: int, corpus: Corpus) -> CheckResult:
     """Right-continuous distortion with left-continuous utility: both orders
     agree and match the closed-form value at a deterministic probe grid."""
-    count = 0
-    entries = corpus.entries
-    for i in range(iters):
+
+    def step(i, name, F):
         d = gen_distortion(seed * 3571 + i, "df-rc")
         u = gen_utility(seed * 6397 + i, "uf-left")
-        name, F = entries[i % len(entries)]
         lhs = apply_distortion(d, apply_utility(u, F))
         rhs = apply_utility(u, apply_distortion(d, F))
-        diff = first_difference(lhs, rhs)
-        if diff is not None:
-            return Witness("rc-left-pairing", name, F, *diff)
-        xs = sorted(
-            {b.x for b in lhs.fn.breakpoints} | {b.x for b in u.fn.breakpoints}
-        )
-        probes = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
-        probes += [xs[0] - 1, xs[-1] + 1]
-        for x in probes:
+        witness = _differ("rc-left-pairing", name, F, lhs, rhs)
+        if witness is not None:
+            return witness
+        for x in _probe_grid([b.x for b in lhs.fn.breakpoints + u.fn.breakpoints]):
             want = pairing_formula_value(d, u, F, x)
             got = lhs(x)
             if got != want:
                 return Witness("rc-left-pairing-formula", name, F, x, got, want)
-        count += 1
-    return Pass("rc-left-pairing", count)
+        return None
+
+    return _fuzz("rc-left-pairing", iters, corpus, step)
 
 
 def fuzz_quantile_identity(iters: int, seed: int, corpus: Corpus) -> CheckResult:
     """Lower quantiles of a continuous pushforward pass through the utility."""
-    count = 0
-    entries = corpus.entries
-    for i in range(iters):
+
+    def step(i, name, F):
         u = gen_utility(seed * 2749 + i, "uf")
         rng = random.Random(f"{seed}|quantile|{i}")
         p = Fraction(rng.randint(1, 23), 24)
-        name, F = entries[i % len(entries)]
         lhs = left_quantile(apply_utility(u, F), p)
         rhs = u(left_quantile(F, p))
-        if lhs != rhs:
-            return Witness("quantile-pushforward", name, F, p, lhs, rhs)
-        count += 1
-    return Pass("quantile-pushforward", count)
+        return None if lhs == rhs else Witness("quantile-pushforward", name, F, p, lhs, rhs)
+
+    return _fuzz("quantile-pushforward", iters, corpus, step)
 
 
 def fuzz_set_commute(
@@ -695,17 +703,12 @@ def fuzz_collapse_nonrc(iters: int, seed: int, corpus: Corpus) -> CheckResult:
     Whether such a witness exists in this function class is left open;
     this target searches rather than asserts.
     """
-    count = 0
-    entries = corpus.entries
-    for i in range(iters):
+
+    def step(i, name, F):
         d2 = gen_distortion(seed * 509 + i, "df")
         d1 = gen_distortion(seed * 521 + i, "df")
-        collapsed = Distortion(pwfn.compose(d2.fn, d1.fn))
-        name, F = entries[i % len(entries)]
-        lhs = apply_distortion(collapsed, F)
+        lhs = apply_distortion(Distortion(pwfn.compose(d2.fn, d1.fn)), F)
         rhs = apply_distortion(d2, apply_distortion(d1, F))
-        diff = first_difference(lhs, rhs)
-        if diff is not None:
-            return Witness("distortion-collapse", name, F, *diff)
-        count += 1
-    return Pass("distortion-collapse", count)
+        return _differ("distortion-collapse", name, F, lhs, rhs)
+
+    return _fuzz("distortion-collapse", iters, corpus, step)

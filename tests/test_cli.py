@@ -4,6 +4,8 @@ import textwrap
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dtlab import cli, pwfn
 from dtlab.cli import (
@@ -19,7 +21,7 @@ from dtlab.cli import (
 )
 from dtlab.dist import bernoulli, equals
 from dtlab.errors import ParseError
-from dtlab.lab import canonical_corpus, gen_cdf
+from dtlab.lab import DISTORTION_KINDS, UTILITY_KINDS, canonical_corpus, gen, gen_cdf
 from dtlab.transform import apply_word
 
 DEMO = textwrap.dedent(
@@ -301,3 +303,99 @@ def test_report_determinism(capsys, spec_file):
     first = run(capsys, args)
     second = run(capsys, args)
     assert first == second
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--corpus"])
+def test_file_that_is_not_utf8_exits_2(capsys, tmp_path, spec_file, flag):
+    path = tmp_path / "latin1.dtl"
+    path.write_bytes("dist a = mix(atom(0, 1))\n# café\n".encode("latin-1"))
+    argv = {"--spec": ["quantile", "left", "1/2", "a", "--spec", str(path)],
+            "--corpus": ["monotone", "distort(step_half)", "--spec", spec_file, "--corpus", str(path)]}
+    code, out, err = run(capsys, argv[flag])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(path) in err and "UTF-8" in err
+
+
+def test_undeclared_function_in_primitive_is_unknown(capsys, spec_file):
+    code, out, err = run(capsys, ["monotone", "distort(pwx)", "--spec", spec_file])
+    assert (code, out, err) == (2, "", "error: unknown function 'pwx'\n")
+
+
+# -- the exit-code contract over drawn argv and spec text -------------------------
+
+LEVELS = ["0", "1/2", "1/3", "3/4", "1", "2", "-3/4", "-1", "1/0", "abc", "0.5"]
+FUZZ_LAWS = ["commute", "pairing", "quantile", "set-u", "set-d", "normal-form", "collapse"]
+REPRODUCE_IDS = ["example1", "example2", "appendixE", "semigroup", "conjugacy-u", "conjugacy-d"]
+
+
+@st.composite
+def spec_texts(draw):
+    """Declarations serialized from seeded values, then possibly mutated."""
+    seeds = st.integers(0, 10**6)
+    lines = [f"dist F{i} = {serialize_dist(gen_cdf(draw(seeds), 2))}" for i in range(2)]
+    for name, kinds in (("d0", DISTORTION_KINDS), ("d1", DISTORTION_KINDS), ("u0", UTILITY_KINDS), ("u1", UTILITY_KINDS)):
+        lines.append(f"fn {name} = {serialize_fn(gen(draw(seeds), draw(st.sampled_from(kinds)), 2).fn)}")
+    prims = ["distort(d0)", "distort(d1)", "push(u0)", "push(u1)"]
+    lines.append(f"word w = [ {', '.join(draw(st.lists(st.sampled_from(prims), max_size=3)))} ]")
+    text = "\n".join(lines) + "\n"
+    at = draw(st.integers(0, len(text)))
+    mutation = draw(st.sampled_from(["none"] * 5 + ["delete", "insert", "truncate"]))
+    if mutation == "delete":
+        text = text[:at] + text[at + draw(st.integers(1, 8)):]
+    elif mutation == "insert":
+        text = text[:at] + draw(st.text("()[]{},;:=|#/-.0123456789 xpw\n", min_size=1, max_size=4)) + text[at:]
+    elif mutation == "truncate":
+        text = text[:at]
+    return text
+
+
+@st.composite
+def cli_runs(draw):
+    text = draw(spec_texts())
+    pick = lambda values: draw(st.sampled_from(values))
+    dist = lambda: pick(["F0", "F1", "F1", "nope", "mix(atom(0, 1))"])
+    fn = lambda: pick(["d0", "d1", "u0", "u1", "nope", "pw { reals(1, 1); points (0 : 0); }"])
+    transform = lambda: pick(["w", "distort(d0)", "distort(d1)", "push(u0)", "push(u1)",
+                              "distort(u0)", "push(d0)", "nope", "distort(pwx)"])
+    level = lambda: pick(LEVELS)
+    command = pick(["quantile", "eval", "apply", "functional", "risk", "commute", "setcommute",
+                    "monotone", "lsc", "extract", "normal-form", "fuzz", "reproduce"])
+    args = {
+        "quantile": lambda: [pick(["left", "right"]), level(), dist()],
+        "eval": lambda: [fn(), level()],
+        "apply": lambda: [transform(), dist()],
+        "functional": lambda: pick([["eu", "u0", dist()], ["du", "d0", dist()], ["rdu", "d1", "u1", dist()],
+                                    ["eu", fn(), fn(), dist()], ["rdu", fn(), fn(), dist()]]),
+        "risk": lambda: [pick(["var", "es"]), level(), dist()],
+        "commute": lambda: [transform(), transform()],
+        "setcommute": lambda: pick([["utilities", "d0", "u0", "u1"], ["distortions", "d0", "u0", "d1"],
+                                    ["utilities", fn(), fn(), fn()]]),
+        "monotone": lambda: [transform()],
+        "lsc": lambda: [transform(), dist()],
+        "extract": lambda: [pick(["distortion", "utility"]), transform(), "--at=" + ",".join(
+            draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=3)))],
+        "normal-form": lambda: [transform()],
+        "fuzz": lambda: [pick(FUZZ_LAWS), "--iters", pick(["1", "2"]), "--seed", str(draw(st.integers(0, 50)))],
+        "reproduce": lambda: [pick(REPRODUCE_IDS + ["nosuch"]), "--seed", str(draw(st.integers(0, 50)))],
+    }[command]()
+    options = ["--spec", "spec.dtl"] + pick([[], ["--corpus", "spec.dtl"], ["--quiet"]])
+    encoding = pick(["utf-8"] * 9 + ["latin-1"])
+    if encoding == "latin-1":
+        text += "# café\n"
+    return [command, *args, *options], text.encode(encoding)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=cli_runs())
+def test_exit_code_contract_on_drawn_commands_and_specs(capsys, tmp_path, monkeypatch, case):
+    argv, spec = case
+    (tmp_path / "spec.dtl").write_bytes(spec)
+    monkeypatch.chdir(tmp_path)
+    try:
+        code, out, err = run(capsys, argv)
+    except SystemExit as exc:
+        code, out, err = exc.code, *capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert any(word in out for word in ("WITNESS", "VIOLATED", "MISMATCH")), out
