@@ -247,12 +247,6 @@ def inverse_distortion(d: Distortion) -> Distortion:
     return Distortion(pwfn.strict_inverse(d.fn))
 
 
-def inverse_utility(u: Utility) -> Utility:
-    if not (u.cls.strictly_increasing and u.cls.surjective):
-        raise NotInvertibleError("utility is not invertible")
-    return Utility(pwfn.strict_inverse(u.fn))
-
-
 # -- functionals and risk measures --------------------------------------------
 
 

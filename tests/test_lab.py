@@ -17,6 +17,7 @@ from dtlab.lab import (
     bernoulli_tail_sequence,
     canonical_corpus,
     commute_check,
+    commute_check_like_roundtrip,
     corpus_with_random,
     extract_distortion,
     extract_utility,
@@ -127,12 +128,23 @@ def test_set_commute_evaluates_the_form_once_per_corpus_entry():
             calls.append(F)
             return super().__call__(F)
 
-    form = CountingForm(gen_distortion(3, "df"), gen_utility(5, "uf-strict"))
-    probes = [gen_utility(7, "uf"), gen_utility(8, "uf")]
+    # Left-continuous probes with jumps keep both orientations off the
+    # form shortcut, so every instance is decided on the corpus.
+    form = CountingForm(identity_distortion(), gen_utility(5, "uf-strict"))
+    probes = [gen_utility(7, "uf-left"), gen_utility(8, "uf-left")]
+    assert not any(p.cls.continuous for p in probes)
     res = set_commute_check(form, "utilities", probes, CORPUS)
     assert isinstance(res, Pass) and res.count == 2 * 2 * len(CORPUS)
     # form(F) once per entry, plus form(probe(F)) and form(partner(F)) per probe
     assert len(calls) == len(CORPUS) + 2 * 2 * len(CORPUS)
+
+    # Continuous probes: every orientation is decided by forms, none applied.
+    calls.clear()
+    form = CountingForm(gen_distortion(3, "df"), gen_utility(5, "uf-strict"))
+    probes = [gen_utility(7, "uf"), gen_utility(8, "uf")]
+    res = set_commute_check(form, "utilities", probes, CORPUS)
+    assert isinstance(res, Pass) and res.count == 2 * 2 * len(CORPUS)
+    assert calls == []
 
 
 def test_set_commute_class_preconditions():
@@ -158,6 +170,126 @@ def test_set_commute_flat_utility_yields_witness_when_probed():
         form, "utilities", [affine_utility(1, HALF)], CORPUS, probe_anyway=True
     )
     assert isinstance(res, Witness)
+
+
+# Differential check: the form shortcut against a corpus-only reference.
+
+
+def corpus_only_set_commute(form, family, probes, corpus, probe_anyway=False):
+    """set_commute_check with every orientation decided on the corpus."""
+    if family == "utilities":
+        g, wrap, apply = form.u, Utility, apply_utility
+        strict = g.cls.strictly_increasing and g.cls.surjective
+        inv = pwfn.strict_inverse(g.fn) if strict else pwfn.pseudo_inverse(g.fn)
+    else:
+        g, wrap, apply = form.d, Distortion, apply_distortion
+        inv = pwfn.strict_inverse(g.fn)
+    law, total = f"set-commute-{family}", 0
+    for probe in probes:
+        partner = wrap(pwfn.compose(g.fn, pwfn.compose(probe.fn, inv)))
+        res = commute_check_like_roundtrip(
+            lambda F: apply(partner, form(F)), lambda F: form(apply(probe, F)), corpus, law
+        )
+        if isinstance(res, Witness):
+            return res
+        total += res.count
+        partner_r = wrap(pwfn.compose(inv, pwfn.compose(probe.fn, g.fn)))
+        res = commute_check_like_roundtrip(
+            lambda F: form(apply(partner_r, F)), lambda F: apply(probe, form(F)), corpus, law
+        )
+        if isinstance(res, Witness):
+            return res
+        total += res.count
+    return Pass(law, total)
+
+
+def _tails_one(u):
+    """u with both tail slopes 1, so a pseudo-inverse exists."""
+    return Utility(pwfn.on_reals(u.fn.breakpoints, 1, 1))
+
+
+def _right_continuous(u):
+    """u with each jump's value moved to its right limit."""
+    bps = [Breakpoint(b.x, b.left, b.right, b.right) for b in u.fn.breakpoints]
+    return Utility(pwfn.on_reals(bps, *u.fn.tails))
+
+
+FLAT = Utility(pwfn.on_reals([bp(0, 0), bp(1, 0)], 1, 1))
+SHIFT = affine_utility(1, HALF)
+
+# name -> seed -> (form, family, probes, probe_anyway)
+SET_COMMUTE_CASES = {
+    "utilities": lambda s: (
+        RduForm(gen(s, "df"), gen(s, "uf-strict")), "utilities",
+        [gen(100 * s + j, "uf") for j in range(3)], False),
+    "distortions": lambda s: (
+        RduForm(gen(s, "df-strict"), gen(s, "uf-left")), "distortions",
+        [gen(100 * s + j, "df-rc") for j in range(3)], False),
+    "uf-left-probes": lambda s: (
+        RduForm(identity_distortion(), gen(s, "uf-strict")), "utilities",
+        [gen(100 * s + j, "uf-left") for j in range(3)], False),
+    "df-with-uf-left-probes": lambda s: (
+        RduForm(gen(s, "df"), gen(s, "uf-strict")), "utilities",
+        [gen(100 * s + j, "uf-left") for j in range(3)], False),
+    "probe-anyway-flat": lambda s: (
+        RduForm(gen(s, "df") if s else identity_distortion(), FLAT), "utilities",
+        [SHIFT] + [gen(100 * s + j, "uf") for j in range(2)], True),
+    "probe-anyway-jumps": lambda s: (
+        RduForm(gen(s, "df"), _tails_one(gen(s, "uf-left"))), "utilities",
+        [gen(100 * s + j, "uf") for j in range(3)], True),
+    "distortions-u-not-left-continuous": lambda s: (
+        RduForm(gen(s, "df-strict"), _right_continuous(gen(s, "uf-left"))), "distortions",
+        [gen(100 * s + j, "df-rc") for j in range(3)], False),
+}
+# the cases whose seeds include a failing instance, so witnesses are compared too
+WITNESS_CASES = {
+    "df-with-uf-left-probes",
+    "probe-anyway-flat",
+    "probe-anyway-jumps",
+    "distortions-u-not-left-continuous",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SET_COMMUTE_CASES))
+def test_set_commute_matches_corpus_only_reference(case):
+    kinds = set()
+    for seed in range(16):
+        form, family, probes, anyway = SET_COMMUTE_CASES[case](seed)
+        got = set_commute_check(form, family, probes, CORPUS, probe_anyway=anyway)
+        want = corpus_only_set_commute(form, family, probes, CORPUS, anyway)
+        assert type(got) is type(want), (case, seed)
+        if isinstance(want, Pass):
+            assert got.count == want.count, (case, seed)
+        else:
+            assert (got.law, got.name, got.F, got.x, got.lhs, got.rhs) == (
+                want.law, want.name, want.F, want.x, want.lhs, want.rhs), (case, seed)
+        kinds.add(type(want))
+    assert (Witness in kinds) == (case in WITNESS_CASES), case
+
+
+def test_set_commute_survives_optimize_flag():
+    code = (
+        "from fractions import Fraction\n"
+        "from dtlab import pwfn\n"
+        "from dtlab.lab import canonical_corpus, gen, set_commute_check\n"
+        "from dtlab.transform import RduForm, Utility, affine_utility, identity_distortion\n"
+        "flat = Utility(pwfn.on_reals([pwfn.bp(0, 0), pwfn.bp(1, 0)], 1, 1))\n"
+        "for form, probes, anyway in [\n"
+        "    (RduForm(gen(0, 'df'), gen(0, 'uf-strict')), [gen(j, 'uf') for j in range(3)], False),\n"
+        "    (RduForm(identity_distortion(), flat), [affine_utility(1, Fraction(1, 2))], True),\n"
+        "]:\n"
+        "    res = set_commute_check(form, 'utilities', probes, canonical_corpus(), anyway)\n"
+        "    print(res.report())\n"
+    )
+    cases = [
+        (RduForm(gen(0, "df"), gen(0, "uf-strict")), [gen(j, "uf") for j in range(3)], False),
+        (RduForm(identity_distortion(), FLAT), [SHIFT], True),
+    ]
+    want = "".join(
+        corpus_only_set_commute(form, "utilities", probes, CORPUS, anyway).report() + "\n"
+        for form, probes, anyway in cases
+    )
+    assert _run_optimized(code) == want
 
 
 # -- monotone and lsc -----------------------------------------------------------
@@ -315,13 +447,18 @@ def test_certification_survives_optimize_flag():
         "except ClassError:\n"
         "    print('ClassError')\n"
     )
+    assert _run_optimized(code) == "ClassError\n"
+
+
+def _run_optimized(code: str) -> str:
+    """Standard output of ``code`` run under ``python -O`` against this dtlab."""
     src = str(Path(pwfn.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "ClassError\n"
+    return out.stdout
 
 
 def test_gen_produces_jumpy_distortions():

@@ -10,6 +10,11 @@ import inspect
 from pathlib import Path
 
 import dtlab
+import dtlab.cli
+import dtlab.dist
+import dtlab.lab
+import dtlab.pwfn
+import dtlab.transform
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
