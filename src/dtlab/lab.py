@@ -44,8 +44,6 @@ from .transform import (
     apply_distortion,
     apply_utility,
     apply_word,
-    conjugate_distortion,
-    conjugate_utility,
     normal_form,
 )
 
@@ -162,17 +160,17 @@ def commute_check(
 
 
 def _composed_equal(
-    outer_first: Transform,
-    outer_second: Transform,
-    inner_first: Transform,
-    inner_second: Transform,
-    corpus: Corpus,
-    law: str,
+    lhs: Transform, rhs: Transform, after, g, before, collapses, corpus: Corpus, law: str
 ) -> CheckResult:
-    """Check outer_first o outer_second = inner_first o inner_second."""
-    return commute_check_like_roundtrip(
-        lambda F: outer_first(outer_second(F)), lambda F: inner_first(inner_second(F)), corpus, law
-    )
+    """Decide the orientation ``after o T = T o before``, with sides lhs and rhs, of a
+    collapsed transform T whose probed component is g.  When both sides collapse
+    (``collapses(before, after)``), equal collapsed components after o g and
+    g o before are equal transforms, and the orientation is credited with |corpus|
+    instances without applying anything; otherwise the corpus decides, and its
+    first difference is the witness."""
+    if collapses(before, after) and pwfn.compose(after.fn, g.fn) == pwfn.compose(g.fn, before.fn):
+        return Pass(law, len(corpus))
+    return commute_check_like_roundtrip(lhs, rhs, corpus, law)
 
 
 def set_commute_check(
@@ -184,21 +182,24 @@ def set_commute_check(
 ) -> CheckResult:
     """Set commutation of a collapsed transform with a whole family.
 
-    For each probe g a matching partner is built by conjugation and both
-    orientations are verified exactly: partner o T = T o g, and
-    T o partner' = g o T.  With ``probe_anyway`` a transform whose
-    components fail the class preconditions is probed with a best-effort
-    pseudo-inverse instead of raising, so genuine failures surface as
-    witnesses.
+    For each probe a matching partner is built by conjugation with the
+    form's component g (u for utilities, d for distortions), and both
+    orientations are verified exactly: partner o T = T o probe, and
+    T o partner' = probe o T.  With ``probe_anyway`` a utility that is
+    not a strict surjection is probed with its pseudo-inverse instead of
+    raising, so genuine failures surface as witnesses; a utility with a
+    flat tail has no finite pseudo-inverse and still raises ClassError.
 
     An orientation ``after o T = T o before`` is first decided by forms:
     when both sides collapse to one (d, u) shape, equal collapsed
-    components mean equal transforms on every F, and the orientation is
-    credited with |corpus| instances without applying anything.  The
-    collapse rests on three laws: pushes compose pointwise; a continuous
-    push commutes with any distortion (utilities: ``after`` continuous);
-    a left-continuous push commutes with a right-continuous distortion,
-    and a run of distortions under a right-continuous outer one collapses
+    components after o g = g o before mean equal transforms on every F,
+    and the orientation is credited with |corpus| instances without
+    applying anything.  For the first orientation this is the
+    conjugation identity partner o g = g o probe.  The collapse rests on
+    three laws: pushes compose pointwise; a continuous push commutes with
+    any distortion (utilities: ``after`` continuous); a left-continuous
+    push commutes with a right-continuous distortion, and a run of
+    distortions under a right-continuous outer one collapses
     (distortions: u left-continuous, ``before`` and ``after``
     right-continuous).  Otherwise the corpus decides, and its first
     difference is the witness.
@@ -208,6 +209,8 @@ def set_commute_check(
         eligible = g.cls.strictly_increasing and g.cls.surjective
         if not eligible and not probe_anyway:
             raise ClassError("set commutation with utilities needs a strict surjection")
+        if not eligible and 0 in g.fn.tails:
+            raise ClassError("a utility with a flat tail has no finite pseudo-inverse")
         inv = pwfn.strict_inverse(g.fn) if eligible else pwfn.pseudo_inverse(g.fn)
         wrap, apply = Utility, apply_utility
 
@@ -240,31 +243,25 @@ def set_commute_check(
             images[id(F)] = form(F)
         return images[id(F)]
 
-    def by_forms(before, after) -> bool:
-        """True when after o T = T o before holds for every F: both sides
-        collapse, and their collapsed components after o g and g o before are equal."""
-        return collapses(before, after) and (
-            pwfn.compose(after.fn, g.fn) == pwfn.compose(g.fn, before.fn)
-        )
+    def orientations(probe):
+        """(after, before, lhs, rhs) of each orientation of the probe;
+        partner' is built only once the first orientation has passed."""
+        partner = wrap(pwfn.compose(g.fn, pwfn.compose(probe.fn, inv)))
+        yield (partner, probe,
+               lambda F: apply(partner, form_once(F)), lambda F: form(apply(probe, F)))
+        partner_r = wrap(pwfn.compose(inv, pwfn.compose(probe.fn, g.fn)))
+        yield (probe, partner_r,
+               lambda F: form(apply(partner_r, F)), lambda F: apply(probe, form_once(F)))
 
     total = 0
     for probe in probes:
         if family == "distortions" and not probe.cls.right_continuous:
             raise ClassError("distortion probes must be right-continuous")
-        partner = wrap(pwfn.compose(g.fn, pwfn.compose(probe.fn, inv)))
-        res = Pass(law, len(corpus)) if by_forms(probe, partner) else _composed_equal(
-            lambda F: apply(partner, F), form_once, form, lambda F: apply(probe, F), corpus, law
-        )
-        if isinstance(res, Witness):
-            return res
-        total += res.count
-        partner_r = wrap(pwfn.compose(inv, pwfn.compose(probe.fn, g.fn)))
-        res = Pass(law, len(corpus)) if by_forms(partner_r, probe) else _composed_equal(
-            form, lambda F: apply(partner_r, F), lambda F: apply(probe, F), form_once, corpus, law
-        )
-        if isinstance(res, Witness):
-            return res
-        total += res.count
+        for after, before, lhs, rhs in orientations(probe):
+            res = _composed_equal(lhs, rhs, after, g, before, collapses, corpus, law)
+            if isinstance(res, Witness):
+                return res
+            total += res.count
     return Pass(law, total)
 
 
@@ -666,27 +663,20 @@ def fuzz_quantile_identity(iters: int, seed: int, corpus: Corpus) -> CheckResult
 def fuzz_set_commute(
     family: str, iters: int, seed: int, corpus: Corpus, probes_per: int = 5
 ) -> CheckResult:
-    """Seeded collapsed transforms set-commute with seeded probe families,
-    and the conjugation identities hold symbolically."""
-    # Seed multipliers and generator kinds of (distortion, utility, probes),
-    # and the form's component ("u" or "d") that the probes conjugate with.
+    """Seeded collapsed transforms set-commute with seeded probe families.
+
+    ``set_commute_check`` also decides each probe's conjugation identity
+    partner o g = g o probe, as the form test of its first orientation.
+    """
+    # Seed multipliers and generator kinds of (distortion, utility, probes).
     if family == "utilities":
-        mults, kinds, part = (433, 439, 443), ("df", "uf-strict", "uf"), "u"
-        conjugate = conjugate_utility
+        mults, kinds = (433, 439, 443), ("df", "uf-strict", "uf")
     else:
-        mults, kinds, part = (449, 457, 461), ("df-strict", "uf-left", "df-rc"), "d"
-        conjugate = conjugate_distortion
+        mults, kinds = (449, 457, 461), ("df-strict", "uf-left", "df-rc")
     total = 0
     for i in range(iters):
         form = RduForm(gen(seed * mults[0] + i, kinds[0]), gen(seed * mults[1] + i, kinds[1]))
         probes = [gen(seed * mults[2] + i * probes_per + j, kinds[2]) for j in range(probes_per)]
-        g = getattr(form, part)
-        for probe in probes:
-            lhs_fn = pwfn.compose(conjugate(g, probe).fn, g.fn)
-            rhs_fn = pwfn.compose(g.fn, probe.fn)
-            if lhs_fn != rhs_fn:
-                x, a, b = first_fn_difference(lhs_fn, rhs_fn)
-                return Witness(f"conjugate-identity-{part}", f"probe-{i}", dirac(0), x, a, b)
         res = set_commute_check(form, family, probes, corpus)
         if isinstance(res, Witness):
             return res

@@ -146,6 +146,21 @@ def test_set_commute_evaluates_the_form_once_per_corpus_entry():
     assert isinstance(res, Pass) and res.count == 2 * 2 * len(CORPUS)
     assert calls == []
 
+    # The inputs of fuzz_set_commute(family, 16, seed=1, ...): every orientation
+    # is decided by forms, so the first orientation's component test, the
+    # conjugation identity partner o g = g o probe, held for every probe.
+    fuzz_inputs = {
+        "utilities": ((433, 439, 443), ("df", "uf-strict", "uf")),
+        "distortions": ((449, 457, 461), ("df-strict", "uf-left", "df-rc")),
+    }
+    for family, (mults, kinds) in fuzz_inputs.items():
+        for i in range(16):
+            form = CountingForm(gen(mults[0] + i, kinds[0]), gen(mults[1] + i, kinds[1]))
+            probes = [gen(mults[2] + i * 5 + j, kinds[2]) for j in range(5)]
+            res = set_commute_check(form, family, probes, CORPUS)
+            assert isinstance(res, Pass) and res.count == 2 * 5 * len(CORPUS), (family, i)
+            assert calls == [], (family, i)
+
 
 def test_set_commute_class_preconditions():
     flat = Utility(pwfn.on_reals([bp(0, 0), bp(1, 0)], 1, 1))
@@ -170,6 +185,19 @@ def test_set_commute_flat_utility_yields_witness_when_probed():
         form, "utilities", [affine_utility(1, HALF)], CORPUS, probe_anyway=True
     )
     assert isinstance(res, Witness)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_set_commute_probe_anyway_refuses_a_flat_tail(seed):
+    # A utility with a zero tail slope has no finite pseudo-inverse.
+    form = RduForm(gen(seed, "df"), gen(seed, "uf"))
+    probes = [SHIFT, gen(seed, "uf")]
+    if 0 in form.u.fn.tails:
+        with pytest.raises(ClassError, match="flat tail has no finite pseudo-inverse"):
+            set_commute_check(form, "utilities", probes, CORPUS, probe_anyway=True)
+    else:
+        res = set_commute_check(form, "utilities", probes, CORPUS, probe_anyway=True)
+        assert res == corpus_only_set_commute(form, "utilities", probes, CORPUS, True)
 
 
 # Differential check: the form shortcut against a corpus-only reference.
