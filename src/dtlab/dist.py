@@ -14,7 +14,7 @@ from operator import le, lt, ne
 from typing import Iterable
 
 from .errors import LevelError, SpecError
-from .pwfn import Breakpoint, PiecewiseMonotone, _first_where, _sup_walk, rat
+from .pwfn import Breakpoint, PiecewiseMonotone, _canonical, _first_where, _sup_walk, rat
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def make(components: Iterable[Component]) -> Cdf:
         at = mass + atoms.get(x, 0)
         bps.append(Breakpoint(x, mass, at, at))
         mass, density, prev = at, density + steps.get(x, 0), x
-    return Cdf(PiecewiseMonotone(tuple(bps), (Fraction(0), Fraction(0))))
+    return Cdf(_canonical(tuple(bps), (Fraction(0), Fraction(0))))
 
 
 def dirac(x) -> Cdf:

@@ -160,15 +160,19 @@ def commute_check(
 
 
 def _composed_equal(
-    lhs: Transform, rhs: Transform, after, g, before, collapses, corpus: Corpus, law: str
+    lhs: Transform, rhs: Transform, after, g, before, collapses, corpus: Corpus, law: str,
+    after_g: PiecewiseMonotone | None = None,
 ) -> CheckResult:
     """Decide the orientation ``after o T = T o before``, with sides lhs and rhs, of a
     collapsed transform T whose probed component is g.  When both sides collapse
     (``collapses(before, after)``), equal collapsed components after o g and
     g o before are equal transforms, and the orientation is credited with |corpus|
     instances without applying anything; otherwise the corpus decides, and its
-    first difference is the witness."""
-    if collapses(before, after) and pwfn.compose(after.fn, g.fn) == pwfn.compose(g.fn, before.fn):
+    first difference is the witness.  ``after_g`` is after o g when the caller
+    has already composed it."""
+    if collapses(before, after) and (
+        after_g or pwfn.compose(after.fn, g.fn)
+    ) == pwfn.compose(g.fn, before.fn):
         return Pass(law, len(corpus))
     return commute_check_like_roundtrip(lhs, rhs, corpus, law)
 
@@ -244,21 +248,23 @@ def set_commute_check(
         return images[id(F)]
 
     def orientations(probe):
-        """(after, before, lhs, rhs) of each orientation of the probe;
-        partner' is built only once the first orientation has passed."""
+        """(after, before, lhs, rhs, after o g or None) of each orientation of the
+        probe; partner' is built only once the first orientation has passed."""
         partner = wrap(pwfn.compose(g.fn, pwfn.compose(probe.fn, inv)))
         yield (partner, probe,
-               lambda F: apply(partner, form_once(F)), lambda F: form(apply(probe, F)))
-        partner_r = wrap(pwfn.compose(inv, pwfn.compose(probe.fn, g.fn)))
+               lambda F: apply(partner, form_once(F)), lambda F: form(apply(probe, F)), None)
+        probe_g = pwfn.compose(probe.fn, g.fn)
+        partner_r = wrap(pwfn.compose(inv, probe_g))
         yield (probe, partner_r,
-               lambda F: form(apply(partner_r, F)), lambda F: apply(probe, form_once(F)))
+               lambda F: form(apply(partner_r, F)), lambda F: apply(probe, form_once(F)),
+               probe_g)
 
     total = 0
     for probe in probes:
         if family == "distortions" and not probe.cls.right_continuous:
             raise ClassError("distortion probes must be right-continuous")
-        for after, before, lhs, rhs in orientations(probe):
-            res = _composed_equal(lhs, rhs, after, g, before, collapses, corpus, law)
+        for after, before, lhs, rhs, after_g in orientations(probe):
+            res = _composed_equal(lhs, rhs, after, g, before, collapses, corpus, law, after_g)
             if isinstance(res, Witness):
                 return res
             total += res.count

@@ -57,11 +57,12 @@ def format_rat(q: Fraction) -> str:
 
 NEG_INF = -math.inf
 POS_INF = math.inf
+_ZERO = Fraction(0)
 
 ExtendedRat = Union[Fraction, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Breakpoint:
     """One abscissa with its (left limit, value, right limit) triple."""
 
@@ -80,22 +81,24 @@ def bp(x, left, at=None, right=None) -> Breakpoint:
     return Breakpoint(x, left, at, right)
 
 
-def _slope(x0: Fraction, y0: Fraction, x1: Fraction, y1: Fraction) -> Fraction:
-    return (y1 - y0) / (x1 - x0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiecewiseMonotone:
     """Increasing piecewise-linear function with jumps, in canonical form.
 
     ``tails is None`` means the domain is the closed interval between the
     first and last breakpoint; otherwise the domain is all reals and
-    ``tails`` holds the (lower, upper) linear slopes.
+    ``tails`` holds the (lower, upper) linear slopes; ``_slopes[i]`` is the
+    slope from breakpoint i to breakpoint i + 1.  The constructor checks its
+    input with explicit raises; kernels, whose outputs are ordered by
+    construction, call `_canonical` directly.
     """
 
     breakpoints: tuple[Breakpoint, ...]
     tails: tuple[Fraction, Fraction] | None = None
     _xs: tuple[Fraction, ...] = field(
+        init=False, repr=False, compare=False, hash=False, default=()
+    )
+    _slopes: tuple[Fraction, ...] = field(
         init=False, repr=False, compare=False, hash=False, default=()
     )
 
@@ -111,49 +114,18 @@ class PiecewiseMonotone:
                 raise ValueError("breakpoint abscissas must be strictly increasing")
             if a.right > c.left:
                 raise ValueError(f"function decreases between x={a.x} and x={c.x}")
-        if self.tails is None:
+        tails = self.tails
+        if tails is None:
             if len(bps) < 2:
                 raise ValueError("a bounded domain needs breakpoints at both ends")
             if bps[0].left != bps[0].at or bps[-1].at != bps[-1].right:
                 raise ValueError("endpoint limits must equal the endpoint values")
         else:
-            lo, hi = self.tails
+            lo, hi = tails
             if lo < 0 or hi < 0:
                 raise ValueError("tail slopes must be nonnegative")
-            object.__setattr__(self, "tails", (rat(lo), rat(hi)))
-        object.__setattr__(self, "breakpoints", self._canonical(bps))
-        object.__setattr__(self, "_xs", tuple(b.x for b in self.breakpoints))
-
-    def _canonical(self, bps: tuple[Breakpoint, ...]) -> tuple[Breakpoint, ...]:
-        n = len(bps)
-        keep = []
-        # Slope of the segment ending at bps[i], when bps[i - 1] computed it;
-        # two neighbouring continuous points share their segment's slope.
-        carried = None
-        for i, b in enumerate(bps):
-            after = None
-            if (self.tails is None and i in (0, n - 1)) or not (b.left == b.at == b.right):
-                keep.append(b)
-            else:
-                if i == 0:
-                    before = self.tails[0]
-                elif carried is not None:
-                    before = carried
-                else:
-                    before = _slope(bps[i - 1].x, bps[i - 1].right, b.x, b.at)
-                if i < n - 1:
-                    after = _slope(b.x, b.at, bps[i + 1].x, bps[i + 1].left)
-                else:
-                    after = self.tails[1]
-                if before != after:
-                    keep.append(b)
-            carried = after
-        if not keep:
-            # Pure affine function on the reals; anchor it at x = 0.
-            b0 = bps[0]
-            v = b0.at + self.tails[0] * (0 - b0.x)
-            keep = [Breakpoint(Fraction(0), v, v, v)]
-        return tuple(keep)
+            tails = (rat(lo), rat(hi))
+        _canonical(bps, tails, self)
 
     # -- domain -----------------------------------------------------------
 
@@ -191,27 +163,77 @@ class PiecewiseMonotone:
         """
         if type(x) is not Fraction:
             x = rat(x)
-        bps, xs = self.breakpoints, self._xs
-        if x < xs[0]:
-            if self.is_bounded:
-                raise DomainError(f"{x} is below the domain [{self.lo}, {self.hi}]")
-            v = bps[0].left - self.tails[0] * (xs[0] - x)
-            return v, v, v
-        if x > xs[-1]:
-            if self.is_bounded:
-                raise DomainError(f"{x} is above the domain [{self.lo}, {self.hi}]")
-            v = bps[-1].right + self.tails[1] * (x - xs[-1])
-            return v, v, v
-        i = bisect_left(xs, x)
-        if xs[i] == x:
-            b = bps[i]
-            return b.left, b.at, b.right
-        a, c = bps[i - 1], bps[i]
-        v = a.right + _slope(a.x, a.right, c.x, c.left) * (x - a.x)
-        return v, v, v
+        return _triple(self, bisect_left(self._xs, x), x)[1]
 
     def __call__(self, x) -> Fraction:
         return self.eval3(x)[1]
+
+
+def _canonical(bps: tuple[Breakpoint, ...], tails, into=None) -> PiecewiseMonotone:
+    """The canonical function of ordered breakpoints, filled into ``into``
+    (a new function when None).  Each segment's slope is computed once.  A continuous breakpoint whose
+    two neighbouring slopes agree is dropped (ends of a bounded domain stay),
+    and each kept breakpoint but the last keeps the slope of the segment
+    after it: the breakpoints dropped along that segment share its slope.
+    """
+    slopes = [_slope(a, c) for a, c in zip(bps, bps[1:])]
+    ends = (None, None) if tails is None else tails
+    sides = [ends[0], *slopes, ends[1]]  # the slopes either side of bps[i]: sides[i], sides[i + 1]
+    kept = [
+        i for i, b in enumerate(bps)
+        if sides[i] is None or sides[i] != sides[i + 1] or not (b.left == b.at == b.right)
+    ]
+    if kept:
+        keep = tuple(bps[i] for i in kept)
+        slopes = tuple(slopes[i] for i in kept[:-1])
+    else:
+        # Pure affine function on the reals; anchor it at x = 0.
+        b0 = bps[0]
+        v = b0.at + tails[0] * (0 - b0.x)
+        keep, slopes = (Breakpoint(Fraction(0), v, v, v),), ()
+    f = object.__new__(PiecewiseMonotone) if into is None else into
+    object.__setattr__(f, "breakpoints", keep)
+    object.__setattr__(f, "tails", tails)
+    object.__setattr__(f, "_xs", tuple(b.x for b in keep))
+    object.__setattr__(f, "_slopes", slopes)
+    return f
+
+
+def _slope(a: Breakpoint, c: Breakpoint) -> Fraction:
+    """Slope from a's right limit to c's left limit, normalised once rather
+    than after each of the three Fraction operations that spell it."""
+    y0, y1, x0, x1 = a.right, c.left, a.x, c.x
+    if y0 == y1:
+        return _ZERO
+    return Fraction(
+        (y1.numerator * y0.denominator - y0.numerator * y1.denominator)
+        * x0.denominator * x1.denominator,
+        (x1.numerator * x0.denominator - x0.numerator * x1.denominator)
+        * y0.denominator * y1.denominator,
+    )
+
+
+def _triple(f: PiecewiseMonotone, j: int, x: Fraction):
+    """(i, (f(x-), f(x), f(x+))), where i is the index of f's first
+    abscissa at or above x, found by walking forward from j."""
+    bps, xs = f.breakpoints, f._xs
+    m = len(xs)
+    while j < m and xs[j] < x:
+        j += 1
+    if j < m and xs[j] == x:
+        b = bps[j]
+        return j, (b.left, b.at, b.right)
+    if f.is_bounded and j in (0, m):
+        side = "below" if j == 0 else "above"
+        raise DomainError(f"{x} is {side} the domain [{f.lo}, {f.hi}]")
+    if j == 0:
+        v = bps[0].left - f.tails[0] * (xs[0] - x)
+    elif j == m:
+        v = bps[-1].right + f.tails[1] * (x - xs[-1])
+    else:
+        a = bps[j - 1]
+        v = a.right + f._slopes[j - 1] * (x - a.x)
+    return j, (v, v, v)
 
 
 # -- constructors ----------------------------------------------------------
@@ -224,15 +246,11 @@ def bounded(points: Iterable[Breakpoint | tuple]) -> PiecewiseMonotone:
 
 def on_reals(points: Iterable[Breakpoint | tuple], tail_lo, tail_hi) -> PiecewiseMonotone:
     """Function on all reals with the given linear tail slopes."""
-    return PiecewiseMonotone(
-        tuple(_as_bp(p) for p in points), (rat(tail_lo), rat(tail_hi))
-    )
+    return PiecewiseMonotone(tuple(_as_bp(p) for p in points), (rat(tail_lo), rat(tail_hi)))
 
 
 def _as_bp(p) -> Breakpoint:
-    if isinstance(p, Breakpoint):
-        return p
-    return bp(*p)
+    return p if isinstance(p, Breakpoint) else bp(*p)
 
 
 def from_points(pairs: Sequence[tuple]) -> PiecewiseMonotone:
@@ -250,19 +268,16 @@ def identity(lo=None, hi=None) -> PiecewiseMonotone:
 
 def affine(slope, intercept) -> PiecewiseMonotone:
     """x -> slope*x + intercept on the reals (slope >= 0)."""
-    c = rat(intercept)
-    return on_reals([bp(0, c)], slope, slope)
+    return on_reals([bp(0, intercept)], slope, slope)
 
 
 def step_open(c) -> PiecewiseMonotone:
     """Indicator of (c, 1] on [0, 1]: 0 up to and at c, 1 strictly above."""
-    c = rat(c)
     return bounded([bp(0, 0), bp(c, 0, 0, 1), bp(1, 1)])
 
 
 def step_closed(c) -> PiecewiseMonotone:
     """Indicator of [c, 1] on [0, 1]: jumps to 1 at c itself."""
-    c = rat(c)
     return bounded([bp(0, 0), bp(c, 0, 1, 1), bp(1, 1)])
 
 
@@ -334,7 +349,7 @@ def _sup_walk(f: PiecewiseMonotone, x: Fraction, op) -> ExtendedRat:
             if op(a.right, x):
                 if op(b.left, x):
                     return b.x
-                return a.x + (x - a.right) / _slope(a.x, a.right, b.x, b.left)
+                return a.x + (x - a.right) / f._slopes[i - 1]
     if f.is_bounded:
         return NEG_INF
     b0 = bps[0]
@@ -359,19 +374,25 @@ def _first_where(op, f, g, xs):
     return None
 
 
-def compose(f: PiecewiseMonotone, g: PiecewiseMonotone) -> PiecewiseMonotone:
+def compose(
+    f: PiecewiseMonotone, g: PiecewiseMonotone, right_limits: bool = False
+) -> PiecewiseMonotone:
     """Canonical representation of f o g, built in one sweep along g.
 
     One-sided limits are composed symbolically: the right limit of f o g at
     a breakpoint x of g is f evaluated at g(x+), using f's own right limit
     there unless g is locally constant just above x.  Inside a rising
     segment or tail of g, f o g breaks only where g crosses an abscissa of
-    f, and there it carries f's own triple.
+    f, and there it carries f's own triple.  The values of g only increase
+    along the sweep, so one forward pointer into f's abscissas finds both.
+
+    With ``right_limits`` each value is replaced by its right limit, which
+    gives the right-continuous version of f o g.
     """
     glo, ghi = g.value_bounds()
     if f.is_bounded and (glo < f.lo or ghi > f.hi):
         raise DomainError("range of the inner function leaves the outer domain")
-    gbps = g.breakpoints
+    gbps, gslopes = g.breakpoints, g._slopes
     n = len(gbps)
     s_lo, s_hi = (0, 0) if g.is_bounded else g.tails
     out: list[Breakpoint] = []
@@ -380,30 +401,32 @@ def compose(f: PiecewiseMonotone, g: PiecewiseMonotone) -> PiecewiseMonotone:
         if i == 0:
             flat_l = s_lo == 0
             if not flat_l:
-                j = _preimages(out, f, j, b.x, b.left, s_lo, NEG_INF, b.left)
+                j = _preimages(out, f, j, b.x, b.left, s_lo, NEG_INF, b.left, right_limits)
         else:
             a = gbps[i - 1]
             flat_l = a.right == b.left
             if not flat_l:
-                slope = _slope(a.x, a.right, b.x, b.left)
-                j = _preimages(out, f, j, a.x, a.right, slope, a.right, b.left)
+                j = _preimages(
+                    out, f, j, a.x, a.right, gslopes[i - 1], a.right, b.left, right_limits
+                )
         flat_r = b.right == gbps[i + 1].left if i < n - 1 else s_hi == 0
-        fl = f.eval3(b.left)
-        fa = fl if b.at == b.left else f.eval3(b.at)
-        fr = fa if b.right == b.at else f.eval3(b.right)
-        out.append(Breakpoint(b.x, fl[1] if flat_l else fl[0], fa[1], fr[1] if flat_r else fr[2]))
+        j, fl = _triple(f, j, b.left)
+        j, fa = (j, fl) if b.at == b.left else _triple(f, j, b.at)
+        j, fr = (j, fa) if b.right == b.at else _triple(f, j, b.right)
+        right = fr[1] if flat_r else fr[2]
+        at = right if right_limits else fa[1]
+        out.append(Breakpoint(b.x, fl[1] if flat_l else fl[0], at, right))
     if s_hi > 0:
         b = gbps[-1]
-        _preimages(out, f, j, b.x, b.right, s_hi, b.right, POS_INF)
+        _preimages(out, f, j, b.x, b.right, s_hi, b.right, POS_INF, right_limits)
 
-    if g.is_bounded:
-        return PiecewiseMonotone(tuple(out), None)
-    s_lo = f.tails[0] * g.tails[0] if g.tails[0] > 0 else Fraction(0)
-    s_hi = f.tails[1] * g.tails[1] if g.tails[1] > 0 else Fraction(0)
-    return PiecewiseMonotone(tuple(out), (s_lo, s_hi))
+    tails = None if g.is_bounded else tuple(
+        f.tails[k] * s if s > 0 else _ZERO for k, s in enumerate(g.tails)
+    )
+    return _canonical(tuple(out), tails)
 
 
-def _preimages(out, f, j, x0, v0, slope, lo_v, hi_v) -> int:
+def _preimages(out, f, j, x0, v0, slope, lo_v, hi_v, right_limits) -> int:
     """Append f's breakpoints whose abscissa t lies strictly between lo_v
     and hi_v, each moved to x0 + (t - v0) / slope, its preimage under one
     rising piece of the inner function; return the index the walk of f's
@@ -418,7 +441,8 @@ def _preimages(out, f, j, x0, v0, slope, lo_v, hi_v) -> int:
         j += 1
     while j < m and fxs[j] < hi_v:
         t = fbps[j]
-        out.append(Breakpoint(x0 + (t.x - v0) / slope, t.left, t.at, t.right))
+        at = t.right if right_limits else t.at
+        out.append(Breakpoint(x0 + (t.x - v0) / slope, t.left, at, t.right))
         j += 1
     return j
 
@@ -436,7 +460,7 @@ def strict_inverse(f: PiecewiseMonotone) -> PiecewiseMonotone:
         )
     bps = tuple(Breakpoint(b.at, b.x, b.x, b.x) for b in f.breakpoints)
     tails = None if f.is_bounded else (1 / f.tails[0], 1 / f.tails[1])
-    return PiecewiseMonotone(bps, tails)
+    return _canonical(bps, tails)
 
 
 def pseudo_inverse(f: PiecewiseMonotone) -> PiecewiseMonotone:
@@ -455,4 +479,4 @@ def pseudo_inverse(f: PiecewiseMonotone) -> PiecewiseMonotone:
         if not (isinstance(at, Fraction) and isinstance(left, Fraction)):
             raise NotInvertibleError("pseudo-inverse left the rationals")
         out.append(Breakpoint(v, left, at, at))
-    return PiecewiseMonotone(tuple(out), (1 / f.tails[0], 1 / f.tails[1]))
+    return _canonical(tuple(out), (1 / f.tails[0], 1 / f.tails[1]))

@@ -17,13 +17,7 @@ from typing import Callable, Union
 from . import pwfn
 from .dist import Atom, Cdf, Uniform, decompose, make, mean
 from .errors import ClassError, LevelError, NormalFormError, NotInvertibleError
-from .pwfn import (
-    Breakpoint,
-    Classification,
-    PiecewiseMonotone,
-    classify,
-    rat,
-)
+from .pwfn import Classification, PiecewiseMonotone, _triple, classify, rat
 
 
 @dataclass(frozen=True)
@@ -37,7 +31,7 @@ class Distortion:
         f = self.fn
         if not f.is_bounded or f.lo != 0 or f.hi != 1:
             raise ClassError("a distortion is defined on [0, 1]")
-        if f(0) != 0 or f(1) != 1:
+        if f.breakpoints[0].at != 0 or f.breakpoints[-1].at != 1:
             raise ClassError("a distortion fixes 0 and 1")
         object.__setattr__(self, "cls", classify(f))
 
@@ -123,9 +117,7 @@ def apply_distortion(d: Distortion, F: Cdf) -> Cdf:
     the result is right-continuous by construction even when d is not, and
     its support stays inside F's support.
     """
-    h = pwfn.compose(d.fn, F.fn)
-    bps = tuple(Breakpoint(b.x, b.left, b.right, b.right) for b in h.breakpoints)
-    return Cdf(PiecewiseMonotone(bps, h.tails))
+    return Cdf(pwfn.compose(d.fn, F.fn, right_limits=True))
 
 
 def apply_utility(u: Utility, F: Cdf) -> Cdf:
@@ -138,17 +130,20 @@ def apply_utility(u: Utility, F: Cdf) -> Cdf:
     """
     atoms, segs = decompose(F)
     out: list[Atom | Uniform] = [Atom(u(a.x), a.w) for a in atoms]
+    xs = u.fn._xs
+    j = 0  # the stretches are disjoint and ascending, so u's abscissas are walked once
     for s in segs:
         density = s.w / (s.b - s.a)
-        cuts = [s.a] + [x for x in u.fn._xs if s.a < x < s.b] + [s.b]
-        for p, q in zip(cuts, cuts[1:]):
-            lo = u.fn.eval3(p)[2]
-            hi = u.fn.eval3(q)[0]
+        p = s.a
+        j, (_, _, lo) = _triple(u.fn, j, p)
+        while p < s.b:
+            if j < len(xs) and xs[j] == p:
+                j += 1
+            q = xs[j] if j < len(xs) and xs[j] < s.b else s.b
+            j, (hi, _, nxt) = _triple(u.fn, j, q)
             m = density * (q - p)
-            if lo == hi:
-                out.append(Atom(lo, m))
-            else:
-                out.append(Uniform(lo, hi, m))
+            out.append(Atom(lo, m) if lo == hi else Uniform(lo, hi, m))
+            p, lo = q, nxt
     return make(out)
 
 

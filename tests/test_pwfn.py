@@ -20,6 +20,7 @@ from dtlab.pwfn import (
     right_inverse,
     strict_inverse,
 )
+from test_lab import _run_optimized
 
 
 def grid(lo, hi, den):
@@ -50,15 +51,36 @@ def test_canonicalization_is_idempotent():
     assert again == f
 
 
+INVALID_CONSTRUCTIONS = (
+    "pwfn.bounded([bp(0, 1), bp(1, 0)])",  # decreasing
+    "pwfn.bounded([bp(0, 0)])",  # single point bounded domain
+    "PiecewiseMonotone((Breakpoint(Q(0), Q(1), Q(0), Q(0)),), (Q(1), Q(1)))",  # triple out of order
+    "pwfn.on_reals([bp(0, 0)], -1, 1)",  # negative tail slope
+    "pwfn.on_reals([bp(1, 0), bp(0, 1)], 1, 1)",  # abscissas out of order
+    "pwfn.bounded([bp(0, 0), bp(1, 1, 1, 2)])",  # right limit beyond the domain's end
+    "PiecewiseMonotone((), (Q(1), Q(1)))",  # no breakpoints
+)
+
+
 def test_invalid_constructions_raise():
-    with pytest.raises(ValueError):
-        pwfn.bounded([bp(0, 1), bp(1, 0)])  # decreasing
-    with pytest.raises(ValueError):
-        pwfn.bounded([bp(0, 0)])  # single point bounded domain
-    with pytest.raises(ValueError):
-        PiecewiseMonotone((Breakpoint(Q(0), Q(1), Q(0), Q(0)),), (Q(1), Q(1)))
-    with pytest.raises(ValueError):
-        pwfn.on_reals([bp(0, 0)], -1, 1)  # negative tail slope
+    for source in INVALID_CONSTRUCTIONS:
+        with pytest.raises(ValueError):
+            eval(source)
+
+
+def test_invalid_constructions_raise_under_python_O():
+    # the constructor's checks are explicit raises, which -O does not strip
+    code = (
+        "from fractions import Fraction as Q\n"
+        "from dtlab import pwfn\n"
+        "from dtlab.pwfn import Breakpoint, PiecewiseMonotone, bp\n"
+        f"for source in {INVALID_CONSTRUCTIONS!r}:\n"
+        "    try:\n"
+        "        eval(source)\n"
+        "    except ValueError:\n"
+        "        print('ValueError')\n"
+    )
+    assert _run_optimized(code) == "ValueError\n" * len(INVALID_CONSTRUCTIONS)
 
 
 def test_flat_tail_encodes_clamped_function():
@@ -270,7 +292,12 @@ def composable_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(composable_pairs())
 def test_compose_matches_pointwise_composition_oracle(pair):
-    f, g = pair
+    assert_matches_pointwise_composition(*pair)
+
+
+def assert_matches_pointwise_composition(f, g):
+    """compose(f, g) agrees with f(g(y)), read by `eval3`, at every possible
+    kink, between kinks and beyond the ends."""
     h = compose(f, g)
     assert h.is_bounded == g.is_bounded
     if g.is_bounded:
@@ -296,6 +323,50 @@ def test_compose_matches_pointwise_composition_oracle(pair):
     for y in probes:
         v = f(g(y))
         assert h.eval3(y) == (v, v, v), y
+
+
+# The sweep reads f's triple at each one-sided value of g with one forward
+# pointer; each case below puts that pointer where a bisect would not need care.
+F_JUMPS = pwfn.on_reals([bp(0, 0), Breakpoint(Q(1), Q(1), Q(2), Q(3)), bp(2, 4)], 1, 1)
+
+
+def test_compose_one_sided_values_on_outer_abscissas():
+    # g jumps at 0 from 0 through 1 to 2: its left, at and right values are
+    # each an abscissa of f
+    g = pwfn.on_reals([Breakpoint(Q(0), Q(0), Q(1), Q(2))], 1, 1)
+    h = compose(F_JUMPS, g)
+    assert h.eval3(0) == (0, 2, 4)
+    assert_matches_pointwise_composition(F_JUMPS, g)
+
+
+def test_compose_flat_inner_pieces_hold_the_pointer():
+    # flat lower tail, a flat piece on an abscissa of f, a flat piece between
+    # abscissas, a jump out of a flat piece, and a flat upper tail
+    g = pwfn.on_reals(
+        [bp(0, 1), bp(1, 1), bp(2, Q(3, 2)), Breakpoint(Q(3), Q(3, 2), Q(3, 2), Q(2)), bp(4, 3)],
+        0, 0,
+    )
+    assert_matches_pointwise_composition(F_JUMPS, g)
+    assert_matches_pointwise_composition(F_JUMPS, pwfn.on_reals([bp(0, 1)], 0, 0))
+
+
+def test_compose_inner_values_beyond_outer_breakpoints():
+    f = pwfn.on_reals([bp(0, 0), bp(1, 2)], 1, 3)
+    below_and_above = pwfn.on_reals([bp(-1, -5), Breakpoint(Q(0), Q(-4), Q(-4), Q(7)), bp(1, 10)], 0, 0)
+    rising_tails = pwfn.on_reals([bp(-1, -5), bp(1, 10)], 2, 1)
+    for g in (below_and_above, rising_tails):
+        assert_matches_pointwise_composition(f, g)
+    assert compose(f, below_and_above).eval3(0) == (-4, -4, 20)
+
+
+def test_compose_bounded_outer_at_its_endpoints():
+    f = pwfn.from_points([(0, 0), (Q(1, 2), Q(1, 4)), (1, 1)])
+    jumps_to_top = pwfn.bounded([bp(0, 0), Breakpoint(Q(1, 2), Q(0), Q(1), Q(1)), bp(1, 1)])
+    for g in (jumps_to_top, pwfn.step_open(Q(1, 3)), pwfn.identity(0, 1)):
+        assert_matches_pointwise_composition(f, g)
+        assert_matches_pointwise_composition(pwfn.step_closed(Q(1, 2)), g)
+    cdf = pwfn.on_reals([Breakpoint(Q(0), Q(0), Q(1, 2), Q(1, 2)), Breakpoint(Q(1), Q(1, 2), Q(1), Q(1))], 0, 0)
+    assert_matches_pointwise_composition(f, cdf)
 
 
 # -- strict_inverse ----------------------------------------------------------------

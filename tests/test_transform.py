@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 
 from dtlab import pwfn
 from dtlab.dist import (
+    Atom,
     Cdf,
+    Uniform,
     bernoulli,
     decompose,
     dirac,
     equals,
     left_quantile,
     leq_st,
+    make,
     mean,
     right_quantile,
     uniform,
@@ -158,6 +161,43 @@ def test_pushforward_value_is_cdf_at_sup_preimage():
     for x in [Q(-1), Q(0), Q(1, 4), HALF, Q(1), Q(3, 2), Q(7, 4), Q(2), Q(3)]:
         s = pwfn.right_inverse(JUMP_UTILITY.fn, x)
         assert out(x) == F(s)
+
+
+def pushforward_by_eval3(u: Utility, F: Cdf) -> Cdf:
+    """apply_utility's oracle: each stretch cut at u's breakpoints inside it,
+    every cut read by a bisecting `eval3`."""
+    atoms, segs = decompose(F)
+    out = [Atom(u(a.x), a.w) for a in atoms]
+    for s in segs:
+        cuts = [s.a] + [x for x in u.fn._xs if s.a < x < s.b] + [s.b]
+        for p, q in zip(cuts, cuts[1:]):
+            lo, hi, m = u.fn.eval3(p)[2], u.fn.eval3(q)[0], s.w * (q - p) / (s.b - s.a)
+            out.append(Atom(lo, m) if lo == hi else Uniform(lo, hi, m))
+    return make(out)
+
+
+# Breakpoints at 0, 1 (a jump), 2 and 3, with a flat piece from 5/2 to 3.
+WALKED = Utility(pwfn.on_reals(
+    [bp(0, 0), Breakpoint(Q(1), Q(1), Q(1), Q(3)), bp(2, 4), bp(Q(5, 2), 5), bp(3, 5)], 1, 1
+))
+
+
+def test_pushforward_walk_with_stretch_ends_on_breakpoints():
+    # stretches [0, 2] and [2, 3] end on u's breakpoints, the first one
+    # across u's jump at 1 and the second across its flat piece
+    F = make([Uniform(Q(0), Q(2), HALF), Uniform(Q(2), Q(3), Q(1, 4)), Atom(Q(1), Q(1, 4))])
+    assert len(decompose(F)[1]) == 2
+    assert apply_utility(WALKED, F) == pushforward_by_eval3(WALKED, F)
+    inside = uniform(Q(1, 2), Q(11, 4))  # a jump and a flat piece strictly inside
+    assert apply_utility(WALKED, inside) == pushforward_by_eval3(WALKED, inside)
+
+
+def test_pushforward_walk_matches_eval3_on_generated():
+    for seed in range(40):
+        F = gen_cdf(seed, complexity=6)
+        for kind in ("uf", "uf-left", "uf-strict"):
+            u = gen_utility(seed, kind, complexity=8)
+            assert apply_utility(u, F) == pushforward_by_eval3(u, F), (seed, kind)
 
 
 # -- words ---------------------------------------------------------------------------
