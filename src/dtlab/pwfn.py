@@ -114,18 +114,17 @@ class PiecewiseMonotone:
                 raise ValueError("breakpoint abscissas must be strictly increasing")
             if a.right > c.left:
                 raise ValueError(f"function decreases between x={a.x} and x={c.x}")
-        tails = self.tails
-        if tails is None:
+        if self.tails is None:
             if len(bps) < 2:
                 raise ValueError("a bounded domain needs breakpoints at both ends")
             if bps[0].left != bps[0].at or bps[-1].at != bps[-1].right:
                 raise ValueError("endpoint limits must equal the endpoint values")
         else:
-            lo, hi = tails
+            lo, hi = self.tails
             if lo < 0 or hi < 0:
                 raise ValueError("tail slopes must be nonnegative")
-            tails = (rat(lo), rat(hi))
-        _canonical(bps, tails, self)
+            object.__setattr__(self, "tails", (rat(lo), rat(hi)))
+        _canonical(bps, self.tails, self)
 
     # -- domain -----------------------------------------------------------
 
@@ -171,10 +170,10 @@ class PiecewiseMonotone:
 
 def _canonical(bps: tuple[Breakpoint, ...], tails, into=None) -> PiecewiseMonotone:
     """The canonical function of ordered breakpoints, filled into ``into``
-    (a new function when None).  Each segment's slope is computed once.  A continuous breakpoint whose
-    two neighbouring slopes agree is dropped (ends of a bounded domain stay),
-    and each kept breakpoint but the last keeps the slope of the segment
-    after it: the breakpoints dropped along that segment share its slope.
+    (a new function when None).  Each segment's slope is computed once; a
+    continuous breakpoint whose two neighbouring slopes agree is dropped
+    (ends of a bounded domain stay), and each kept breakpoint but the last
+    keeps the slope after it, which the dropped ones along it share.
     """
     slopes = [_slope(a, c) for a, c in zip(bps, bps[1:])]
     ends = (None, None) if tails is None else tails
@@ -246,7 +245,9 @@ def bounded(points: Iterable[Breakpoint | tuple]) -> PiecewiseMonotone:
 
 def on_reals(points: Iterable[Breakpoint | tuple], tail_lo, tail_hi) -> PiecewiseMonotone:
     """Function on all reals with the given linear tail slopes."""
-    return PiecewiseMonotone(tuple(_as_bp(p) for p in points), (rat(tail_lo), rat(tail_hi)))
+    return PiecewiseMonotone(
+        tuple(_as_bp(p) for p in points), (rat(tail_lo), rat(tail_hi))
+    )
 
 
 def _as_bp(p) -> Breakpoint:

@@ -54,7 +54,8 @@ def test_canonicalization_is_idempotent():
 INVALID_CONSTRUCTIONS = (
     "pwfn.bounded([bp(0, 1), bp(1, 0)])",  # decreasing
     "pwfn.bounded([bp(0, 0)])",  # single point bounded domain
-    "PiecewiseMonotone((Breakpoint(Q(0), Q(1), Q(0), Q(0)),), (Q(1), Q(1)))",  # triple out of order
+    # a triple out of order
+    "PiecewiseMonotone((Breakpoint(Q(0), Q(1), Q(0), Q(0)),), (Q(1), Q(1)))",
     "pwfn.on_reals([bp(0, 0)], -1, 1)",  # negative tail slope
     "pwfn.on_reals([bp(1, 0), bp(0, 1)], 1, 1)",  # abscissas out of order
     "pwfn.bounded([bp(0, 0), bp(1, 1, 1, 2)])",  # right limit beyond the domain's end
@@ -352,7 +353,9 @@ def test_compose_flat_inner_pieces_hold_the_pointer():
 
 def test_compose_inner_values_beyond_outer_breakpoints():
     f = pwfn.on_reals([bp(0, 0), bp(1, 2)], 1, 3)
-    below_and_above = pwfn.on_reals([bp(-1, -5), Breakpoint(Q(0), Q(-4), Q(-4), Q(7)), bp(1, 10)], 0, 0)
+    below_and_above = pwfn.on_reals(
+        [bp(-1, -5), Breakpoint(Q(0), Q(-4), Q(-4), Q(7)), bp(1, 10)], 0, 0
+    )
     rising_tails = pwfn.on_reals([bp(-1, -5), bp(1, 10)], 2, 1)
     for g in (below_and_above, rising_tails):
         assert_matches_pointwise_composition(f, g)
@@ -365,7 +368,7 @@ def test_compose_bounded_outer_at_its_endpoints():
     for g in (jumps_to_top, pwfn.step_open(Q(1, 3)), pwfn.identity(0, 1)):
         assert_matches_pointwise_composition(f, g)
         assert_matches_pointwise_composition(pwfn.step_closed(Q(1, 2)), g)
-    cdf = pwfn.on_reals([Breakpoint(Q(0), Q(0), Q(1, 2), Q(1, 2)), Breakpoint(Q(1), Q(1, 2), Q(1), Q(1))], 0, 0)
+    cdf = pwfn.on_reals([bp(0, 0, Q(1, 2), Q(1, 2)), bp(1, Q(1, 2), 1, 1)], 0, 0)
     assert_matches_pointwise_composition(f, cdf)
 
 
