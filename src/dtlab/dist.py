@@ -183,12 +183,12 @@ def leq_st(F: Cdf, G: Cdf) -> bool:
     Decided exactly by comparing the two piecewise representations,
     including one-sided limits, on the merged breakpoint set.
     """
-    return _first_where(lt, F, G, merged_abscissas(F, G)) is None
+    return _first_where(lt, F.fn, G.fn, merged_abscissas(F, G)) is None
 
 
 def first_dominance_failure(F: Cdf, G: Cdf):
     """Smallest merged breakpoint where F dips below G, or None."""
-    return _first_where(lt, F, G, merged_abscissas(F, G))
+    return _first_where(lt, F.fn, G.fn, merged_abscissas(F, G))
 
 
 def equals(F: Cdf, G: Cdf) -> bool:
@@ -201,7 +201,7 @@ def first_difference(F: Cdf, G: Cdf):
 
     Returns None exactly when the cdfs are equal.
     """
-    return _first_where(ne, F, G, merged_abscissas(F, G))
+    return _first_where(ne, F.fn, G.fn, merged_abscissas(F, G))
 
 
 def mean(F: Cdf) -> Fraction:

@@ -363,15 +363,16 @@ def _sup_walk(f: PiecewiseMonotone, x: Fraction, op) -> ExtendedRat:
 def _first_where(op, f, g, xs):
     """First (x, f-val, g-val) with op(f-val, g-val), or None.
 
-    Walks the abscissas in order and, at each, the value before the left
-    and right limits of the `eval3` triples.
+    Walks the ascending abscissas forward through both functions and, at
+    each, the value before the left and right limits of the triples.
     """
+    i = j = 0
     for x in xs:
-        ft = f.eval3(x)
-        gt = g.eval3(x)
-        for i in (1, 0, 2):
-            if op(ft[i], gt[i]):
-                return x, ft[i], gt[i]
+        i, ft = _triple(f, i, x)
+        j, gt = _triple(g, j, x)
+        for k in (1, 0, 2):
+            if op(ft[k], gt[k]):
+                return x, ft[k], gt[k]
     return None
 
 
@@ -448,6 +449,24 @@ def _preimages(out, f, j, x0, v0, slope, lo_v, hi_v, right_limits) -> int:
     return j
 
 
+def _put(out: list[Breakpoint], x: Fraction, left: Fraction, at: Fraction) -> None:
+    """Append the right-continuous breakpoint (x: left, at, at) to the ascending
+    ``out``; at x equal to the last abscissa, keep that one's left limit."""
+    if out and out[-1].x == x:
+        left = out.pop().left
+    out.append(Breakpoint(x, left, at, at))
+
+
+def _flip(f: PiecewiseMonotone, tails) -> PiecewiseMonotone:
+    """f's graph reflected in the diagonal, right-continuous: each breakpoint's
+    limits map back to its abscissa, so flats become jumps and jumps flats."""
+    out: list[Breakpoint] = []
+    for b in f.breakpoints:
+        _put(out, b.left, b.x, b.x)
+        _put(out, b.right, b.x, b.x)
+    return _canonical(tuple(out), tails)
+
+
 def strict_inverse(f: PiecewiseMonotone) -> PiecewiseMonotone:
     """Functional inverse of a strictly increasing continuous surjection.
 
@@ -459,9 +478,7 @@ def strict_inverse(f: PiecewiseMonotone) -> PiecewiseMonotone:
         raise NotInvertibleError(
             "only strictly increasing continuous surjections are invertible"
         )
-    bps = tuple(Breakpoint(b.at, b.x, b.x, b.x) for b in f.breakpoints)
-    tails = None if f.is_bounded else (1 / f.tails[0], 1 / f.tails[1])
-    return _canonical(bps, tails)
+    return _flip(f, None if f.is_bounded else (1 / f.tails[0], 1 / f.tails[1]))
 
 
 def pseudo_inverse(f: PiecewiseMonotone) -> PiecewiseMonotone:
@@ -472,12 +489,4 @@ def pseudo_inverse(f: PiecewiseMonotone) -> PiecewiseMonotone:
     """
     if f.is_bounded or f.tails[0] == 0 or f.tails[1] == 0:
         raise NotInvertibleError("pseudo-inverse needs positive tail slopes")
-    values = sorted({v for b in f.breakpoints for v in (b.left, b.at, b.right)})
-    out = []
-    for v in values:
-        at = right_inverse(f, v)
-        left = _sup_walk(f, v, operator.lt)
-        if not (isinstance(at, Fraction) and isinstance(left, Fraction)):
-            raise NotInvertibleError("pseudo-inverse left the rationals")
-        out.append(Breakpoint(v, left, at, at))
-    return _canonical(tuple(out), (1 / f.tails[0], 1 / f.tails[1]))
+    return _flip(f, (1 / f.tails[0], 1 / f.tails[1]))

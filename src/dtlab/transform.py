@@ -15,9 +15,9 @@ from functools import reduce
 from typing import Callable, Union
 
 from . import pwfn
-from .dist import Atom, Cdf, Uniform, decompose, make, mean
+from .dist import Cdf, mean
 from .errors import ClassError, LevelError, NormalFormError, NotInvertibleError
-from .pwfn import Classification, PiecewiseMonotone, _triple, classify, rat
+from .pwfn import Classification, PiecewiseMonotone, _canonical, _put, _triple, classify, rat
 
 
 @dataclass(frozen=True)
@@ -123,28 +123,22 @@ def apply_distortion(d: Distortion, F: Cdf) -> Cdf:
 def apply_utility(u: Utility, F: Cdf) -> Cdf:
     """Distribution of u(X) when X is distributed by F, computed exactly.
 
-    Atoms land at the pointwise image; a uniform stretch is cut at the
-    breakpoints of u, each affine piece rescaling to a uniform stretch and
-    each flat piece collapsing its mass into an atom.  The open gap of a
-    jump of u receives no mass.
+    F's graph is carried through u: at each abscissa x of F, and of u inside
+    F's support, the result reaches F(x-) at u(x-), F(x) at u(x) and holds
+    it up to u(x+).  Between those points both are affine, so a flat piece
+    of u merges its ends into an atom and the gap of a jump gets no mass.
     """
-    atoms, segs = decompose(F)
-    out: list[Atom | Uniform] = [Atom(u(a.x), a.w) for a in atoms]
-    xs = u.fn._xs
-    j = 0  # the stretches are disjoint and ascending, so u's abscissas are walked once
-    for s in segs:
-        density = s.w / (s.b - s.a)
-        p = s.a
-        j, (_, _, lo) = _triple(u.fn, j, p)
-        while p < s.b:
-            if j < len(xs) and xs[j] == p:
-                j += 1
-            q = xs[j] if j < len(xs) and xs[j] < s.b else s.b
-            j, (hi, _, nxt) = _triple(u.fn, j, q)
-            m = density * (q - p)
-            out.append(Atom(lo, m) if lo == hi else Uniform(lo, hi, m))
-            p, lo = q, nxt
-    return make(out)
+    f, g = F.fn, u.fn
+    xs = sorted({*f._xs, *(x for x in g._xs if f.lo < x < f.hi)})
+    out = []
+    i = j = 0  # both functions are read forward along the ascending xs
+    for x in xs:
+        i, (fl, fa, _) = _triple(f, i, x)
+        j, (ul, ua, ur) = _triple(g, j, x)
+        _put(out, ul, fl, fl)
+        _put(out, ua, fl, fa)
+        _put(out, ur, fa, fa)
+    return Cdf(_canonical(tuple(out), (Fraction(0), Fraction(0))))
 
 
 def apply_word(word: TransformWord, F: Cdf) -> Cdf:
@@ -200,12 +194,8 @@ def normal_form(word: TransformWord) -> RduForm:
             ds.append(step.d)
     # Non-leftmost factors are right-continuous, so the inner run collapses
     # to a right-continuous function and the leftmost composes onto it.
-    d = (
-        reduce(lambda acc, nxt: Distortion(pwfn.compose(acc.fn, nxt.fn)), ds)
-        if ds
-        else identity_distortion()
-    )
-    u = reduce(compose_utilities, us) if us else identity_utility()
+    d = Distortion(reduce(pwfn.compose, [s.fn for s in ds])) if ds else identity_distortion()
+    u = Utility(reduce(pwfn.compose, [s.fn for s in us])) if us else identity_utility()
     return RduForm(d, u)
 
 

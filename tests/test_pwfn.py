@@ -1,5 +1,6 @@
 """Tests for the piecewise-monotone function calculus."""
 
+import operator
 from fractions import Fraction as Q
 
 import pytest
@@ -14,6 +15,7 @@ from dtlab.pwfn import (
     POS_INF,
     Breakpoint,
     PiecewiseMonotone,
+    _sup_walk,
     bp,
     classify,
     compose,
@@ -451,3 +453,52 @@ def test_pseudo_inverse_generated(seed, num):
     pinv = pwfn.pseudo_inverse(u)
     x = Q(num, 3)
     assert pinv(x) == right_inverse(u, x)
+
+
+def pseudo_inverse_by_sup_walks(f: PiecewiseMonotone) -> PiecewiseMonotone:
+    """pseudo_inverse's oracle: one breakpoint per triple value v of f, with
+    the left limit sup{y : f(y) < v} and the value sup{y : f(y) <= v}, each
+    read by its own backward sup-walk."""
+    values = sorted({v for b in f.breakpoints for v in (b.left, b.at, b.right)})
+    bps = []
+    for v in values:
+        at = right_inverse(f, v)
+        bps.append(Breakpoint(v, _sup_walk(f, v, operator.lt), at, at))
+    return pwfn.on_reals(bps, 1 / f.tails[0], 1 / f.tails[1])
+
+
+# A flat stretch on [0, 1] ending in a jump of value 0 (left-continuous) or
+# of value 1 (right-continuous), a jump at 0 whose right limit starts a flat
+# stretch, and a jump at 3 whose value lies strictly between its limits.
+PSEUDO_CASES = (
+    pwfn.on_reals([bp(0, 0), Breakpoint(Q(1), Q(0), Q(0), Q(2)), bp(2, 3)], 1, 2),
+    pwfn.on_reals([bp(0, 0), Breakpoint(Q(1), Q(0), Q(1), Q(1)), bp(2, 3)], 1, 2),
+    pwfn.on_reals([Breakpoint(Q(0), Q(-1), Q(-1), Q(0)), bp(1, 0)], Q(1, 2), 1),
+    pwfn.on_reals([bp(1, 1), Breakpoint(Q(3), Q(2), Q(5, 2), Q(4)), bp(4, 4)], 3, Q(1, 3)),
+)
+
+
+def assert_pseudo_inverse_matches_sup_walks(f):
+    pinv = pwfn.pseudo_inverse(f)
+    assert pinv == pseudo_inverse_by_sup_walks(f)
+    for x in grid(-5, 5, 4):
+        left, at, _ = pinv.eval3(x)
+        assert at == right_inverse(f, x)
+        assert left == _sup_walk(f, x, operator.lt)
+
+
+def test_pseudo_inverse_on_flats_and_jumps_matches_sup_walks():
+    for f in PSEUDO_CASES:
+        assert_pseudo_inverse_matches_sup_walks(f)
+
+
+def test_pseudo_inverse_on_generated_jumps_and_flats_matches_sup_walks():
+    checked = 0
+    for seed in range(60):
+        for kind in ("uf", "uf-left"):
+            f = gen_utility(seed, kind, complexity=8).fn
+            if 0 in f.tails:
+                continue
+            assert_pseudo_inverse_matches_sup_walks(f)
+            checked += 1
+    assert checked >= 40

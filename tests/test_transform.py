@@ -200,6 +200,26 @@ def test_pushforward_walk_matches_eval3_on_generated():
             assert apply_utility(u, F) == pushforward_by_eval3(u, F), (seed, kind)
 
 
+# Jumps at 1 and at 3 whose values lie strictly between their limits, as
+# the CLI accepts them; a flat piece from 2 to 3 leads into the second.
+INSIDE_JUMPS = Utility(pwfn.on_reals(
+    [bp(0, 0), Breakpoint(Q(1), Q(1), Q(3, 2), Q(2)), bp(2, 3), Breakpoint(Q(3), Q(3), Q(4), Q(5))],
+    Q(1, 2), 0,
+))
+
+
+@pytest.mark.parametrize("F", [
+    make([Atom(Q(1), HALF), Uniform(Q(-1), Q(0), HALF)]),  # an atom on the jump
+    make([Atom(Q(3), Q(1, 4)), Atom(Q(1), Q(1, 4)), Uniform(Q(2), Q(4), HALF)]),
+    make([Uniform(Q(1), Q(5, 2), 1)]),  # a stretch starting on the jump
+    make([Uniform(Q(3), Q(4), Q(1, 3)), Uniform(Q(1), Q(3, 2), Q(2, 3))]),
+    make([Uniform(Q(0), Q(1), HALF), Uniform(Q(2), Q(3), HALF)]),  # stretches ending on jumps
+    make([Uniform(Q(-2), Q(1), Q(3, 4)), Atom(Q(3), Q(1, 4))]),
+])
+def test_pushforward_through_values_inside_jumps_matches_eval3(F):
+    assert apply_utility(INSIDE_JUMPS, F) == pushforward_by_eval3(INSIDE_JUMPS, F)
+
+
 # -- words ---------------------------------------------------------------------------
 
 
