@@ -31,7 +31,7 @@ from .dist import (
     unif,
     uniform,
 )
-from .errors import ClassError, ExtractionError
+from .errors import ClassError, ExtractionError, NormalFormError
 from .pwfn import NEG_INF, POS_INF, PiecewiseMonotone, _first_where, format_rat, rat
 from .transform import (
     Distort,
@@ -41,6 +41,7 @@ from .transform import (
     Transform,
     TransformWord,
     Utility,
+    _collapse,
     apply_distortion,
     apply_utility,
     apply_word,
@@ -159,20 +160,23 @@ def commute_check(
     return commute_check_like_roundtrip(lambda F: t1(t2(F)), lambda F: t2(t1(F)), corpus, law)
 
 
+def _collapsed(steps) -> tuple[PiecewiseMonotone, PiecewiseMonotone] | None:
+    """The raw (d, u) pair of a word's normal form, or None if it has none."""
+    try:
+        return _collapse(steps)
+    except NormalFormError:
+        return None
+
+
 def _composed_equal(
-    lhs: Transform, rhs: Transform, after, g, before, collapses, corpus: Corpus, law: str,
-    after_g: PiecewiseMonotone | None = None,
+    lhs: Transform, rhs: Transform, left, right, corpus: Corpus, law: str
 ) -> CheckResult:
-    """Decide the orientation ``after o T = T o before``, with sides lhs and rhs, of a
-    collapsed transform T whose probed component is g.  When both sides collapse
-    (``collapses(before, after)``), equal collapsed components after o g and
-    g o before are equal transforms, and the orientation is credited with |corpus|
-    instances without applying anything; otherwise the corpus decides, and its
-    first difference is the witness.  ``after_g`` is after o g when the caller
-    has already composed it."""
-    if collapses(before, after) and (
-        after_g or pwfn.compose(after.fn, g.fn)
-    ) == pwfn.compose(g.fn, before.fn):
+    """Decide lhs = rhs, whose words collapse to the (d, u) pairs left and right
+    (None where a word has no normal form).  Equal pairs are one transform on
+    every F, so the orientation is credited with |corpus| instances without
+    applying anything; otherwise the corpus decides, and its first difference
+    is the witness."""
+    if left is not None and left == right:
         return Pass(law, len(corpus))
     return commute_check_like_roundtrip(lhs, rhs, corpus, law)
 
@@ -194,19 +198,12 @@ def set_commute_check(
     raising, so genuine failures surface as witnesses; a utility with a
     flat tail has no finite pseudo-inverse and still raises ClassError.
 
-    An orientation ``after o T = T o before`` is first decided by forms:
-    when both sides collapse to one (d, u) shape, equal collapsed
-    components after o g = g o before mean equal transforms on every F,
-    and the orientation is credited with |corpus| instances without
-    applying anything.  For the first orientation this is the
-    conjugation identity partner o g = g o probe.  The collapse rests on
-    three laws: pushes compose pointwise; a continuous push commutes with
-    any distortion (utilities: ``after`` continuous); a left-continuous
-    push commutes with a right-continuous distortion, and a run of
-    distortions under a right-continuous outer one collapses
-    (distortions: u left-continuous, ``before`` and ``after``
-    right-continuous).  Otherwise the corpus decides, and its first
-    difference is the witness.
+    An orientation is first decided by the normal forms of its two words,
+    such as (partner, *T) and (*T, probe): equal forms are equal transforms
+    on every F, and the orientation is credited with |corpus| instances
+    without applying anything.  For the first orientation this is the
+    conjugation identity partner o g = g o probe.  Otherwise the corpus
+    decides, and its first difference is the witness.
     """
     if family == "utilities":
         g = form.u
@@ -216,11 +213,7 @@ def set_commute_check(
         if not eligible and 0 in g.fn.tails:
             raise ClassError("a utility with a flat tail has no finite pseudo-inverse")
         inv = pwfn.strict_inverse(g.fn) if eligible else pwfn.pseudo_inverse(g.fn)
-        wrap, apply = Utility, apply_utility
-
-        def collapses(before, after) -> bool:
-            return after.cls.continuous
-
+        wrap, apply, step, k = Utility, apply_utility, Push, 1
     elif family == "distortions":
         g = form.d
         if not (g.cls.strictly_increasing and g.cls.continuous):
@@ -228,18 +221,11 @@ def set_commute_check(
                 "set commutation with distortions needs a strictly increasing continuous one"
             )
         inv = pwfn.strict_inverse(g.fn)
-        wrap, apply = Distortion, apply_distortion
-
-        def collapses(before, after) -> bool:
-            return (
-                form.u.cls.left_continuous
-                and before.cls.right_continuous
-                and after.cls.right_continuous
-            )
-
+        wrap, apply, step, k = Distortion, apply_distortion, Distort, 0
     else:
         raise ValueError(f"unknown family {family!r}")
     law = f"set-commute-{family}"
+    T = form.as_word().steps
     images: dict[int, Cdf] = {}  # form(F) of each corpus entry, shared by every probe
 
     def form_once(F: Cdf) -> Cdf:
@@ -248,23 +234,23 @@ def set_commute_check(
         return images[id(F)]
 
     def orientations(probe):
-        """(after, before, lhs, rhs, after o g or None) of each orientation of the
-        probe; partner' is built only once the first orientation has passed."""
+        """(lhs, rhs, lhs pair, rhs pair) of each orientation of the probe;
+        partner' is built only once the first orientation has passed, from
+        the g-component probe o g of the collapsed word (probe, *T)."""
         partner = wrap(pwfn.compose(g.fn, pwfn.compose(probe.fn, inv)))
-        yield (partner, probe,
-               lambda F: apply(partner, form_once(F)), lambda F: form(apply(probe, F)), None)
-        probe_g = pwfn.compose(probe.fn, g.fn)
-        partner_r = wrap(pwfn.compose(inv, probe_g))
-        yield (probe, partner_r,
-               lambda F: form(apply(partner_r, F)), lambda F: apply(probe, form_once(F)),
-               probe_g)
+        yield (lambda F: apply(partner, form_once(F)), lambda F: form(apply(probe, F)),
+               _collapsed((step(partner), *T)), _collapsed((*T, step(probe))))
+        right = _collapsed((step(probe), *T))
+        partner_r = wrap(pwfn.compose(inv, right[k] if right else pwfn.compose(probe.fn, g.fn)))
+        yield (lambda F: form(apply(partner_r, F)), lambda F: apply(probe, form_once(F)),
+               _collapsed((*T, step(partner_r))), right)
 
     total = 0
     for probe in probes:
         if family == "distortions" and not probe.cls.right_continuous:
             raise ClassError("distortion probes must be right-continuous")
-        for after, before, lhs, rhs, after_g in orientations(probe):
-            res = _composed_equal(lhs, rhs, after, g, before, collapses, corpus, law, after_g)
+        for lhs, rhs, left, right in orientations(probe):
+            res = _composed_equal(lhs, rhs, left, right, corpus, law)
             if isinstance(res, Witness):
                 return res
             total += res.count

@@ -172,31 +172,35 @@ def compose_distortions(d2: Distortion, d1: Distortion) -> Distortion:
     return Distortion(pwfn.compose(d2.fn, d1.fn))
 
 
+def _collapse(steps) -> tuple[PiecewiseMonotone, PiecewiseMonotone]:
+    """The raw (d, u) pair of an admissible word's normal form; see `normal_form`."""
+    seen, rc = False, True  # a distortion lies to the right; all of those are rc
+    for step in reversed(steps):
+        if isinstance(step, Distort):
+            if not rc:
+                raise NormalFormError("only the leftmost distortion may fail right-continuity")
+            seen, rc = True, step.d.cls.right_continuous
+        elif seen and not (step.u.cls.continuous or step.u.cls.left_continuous and rc):
+            raise NormalFormError("a pushforward cannot move past the distortions to its right")
+    ds = [s.d.fn for s in steps if isinstance(s, Distort)]
+    us = [s.u.fn for s in steps if isinstance(s, Push)]
+    return (reduce(pwfn.compose, ds) if ds else pwfn.identity(0, 1),
+            reduce(pwfn.compose, us) if us else pwfn.identity())
+
+
 def normal_form(word: TransformWord) -> RduForm:
     """Collapse an admissible word to a single distort-after-push shape.
 
-    Admissible means: every pushforward uses a continuous utility (so it
-    commutes with every distortion), and every distortion except possibly
-    the leftmost is right-continuous (so the distortion run collapses).
+    Admissible means: each pushforward can move right past the distortions
+    to its right, because u is continuous (so it commutes with every
+    distortion) or because u is left-continuous and those distortions are
+    all right-continuous (the pairing law); a push with no distortion to its
+    right never moves.  And every distortion except possibly the leftmost is
+    right-continuous, so the inner run collapses to a right-continuous
+    function and the leftmost composes onto it.
     """
-    ds: list[Distortion] = []
-    us: list[Utility] = []
-    for step in word.steps:
-        if isinstance(step, Push):
-            if not step.u.cls.continuous:
-                raise NormalFormError("pushforwards must use continuous utilities")
-            us.append(step.u)
-        else:
-            if ds and not step.d.cls.right_continuous:
-                raise NormalFormError(
-                    "only the leftmost distortion may fail right-continuity"
-                )
-            ds.append(step.d)
-    # Non-leftmost factors are right-continuous, so the inner run collapses
-    # to a right-continuous function and the leftmost composes onto it.
-    d = Distortion(reduce(pwfn.compose, [s.fn for s in ds])) if ds else identity_distortion()
-    u = Utility(reduce(pwfn.compose, [s.fn for s in us])) if us else identity_utility()
-    return RduForm(d, u)
+    d, u = _collapse(word.steps)
+    return RduForm(Distortion(d), Utility(u))
 
 
 # -- conjugation --------------------------------------------------------------

@@ -28,9 +28,9 @@ def _tracer_module():
 def _one_iteration_per_family(corpus):
     reports = [lab.fuzz_set_commute(family, 1, 1, corpus).report()
                for family in ("utilities", "distortions")]
-    # Jumpy probes keep this check off the form shortcut, so forms are
-    # applied to corpus entries.
-    form = transform.RduForm(transform.identity_distortion(), lab.gen_utility(5, "uf-strict"))
+    # Jumpy probes before a distortion that is not right-continuous keep this
+    # check off the form shortcut, so forms are applied to corpus entries.
+    form = transform.RduForm(lab.gen_distortion(0, "df"), lab.gen_utility(5, "uf-strict"))
     probes = [lab.gen_utility(7, "uf-left")]
     return reports + [lab.set_commute_check(form, "utilities", probes, corpus).report()]
 

@@ -195,6 +195,33 @@ def test_normal_form_command_output_reparses(capsys, spec_file):
     assert parse_pw(Parser(tokenize(u_text))) == pwfn.affine(2, 3)
 
 
+
+JUMP_WORDS = textwrap.dedent(
+    """
+    fn d_rc = pw { domain [0,1]; points (0 : 0, 0, 0) (1/2 : 0, 1, 1) (1 : 1, 1, 1); }
+    fn u_left = pw { reals(1, 1); points (1/2 : 1/2, 1/2, 3/2); }
+    fn u_right = pw { reals(1, 1); points (1/2 : 1/2, 3/2, 3/2); }
+    word left_jump = [ push(u_left), distort(d_rc) ]
+    word right_jump = [ push(u_right), distort(d_rc) ]
+    """
+)
+
+
+def test_normal_form_command_on_pushes_with_jumps(capsys, tmp_path):
+    path = tmp_path / "jumps.dtl"
+    path.write_text(JUMP_WORDS, encoding="utf-8")
+    env = load_env(JUMP_WORDS)
+    # A left-continuous jump moves past a right-continuous distortion.
+    code, out, err = run(capsys, ["normal-form", "left_jump", "--spec", str(path)])
+    assert (code, err) == (0, "")
+    d_line, u_line = out.strip().splitlines()
+    assert parse_pw(Parser(tokenize(d_line.removeprefix("d = ")))) == env.fns["d_rc"]
+    assert parse_pw(Parser(tokenize(u_line.removeprefix("u = ")))) == env.fns["u_left"]
+    # A jump that takes its right limit does not: no normal form.
+    code, out, err = run(capsys, ["normal-form", "right_jump", "--spec", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
 def test_fuzz_commands(capsys):
     for law in ["commute", "pairing", "quantile", "normal-form", "collapse"]:
         code, out, _ = run(capsys, ["fuzz", law, "--iters", "20", "--seed", "1"])

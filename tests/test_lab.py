@@ -128,11 +128,13 @@ def test_set_commute_evaluates_the_form_once_per_corpus_entry():
             calls.append(F)
             return super().__call__(F)
 
-    # Left-continuous probes with jumps keep both orientations off the
-    # form shortcut, so every instance is decided on the corpus.
-    form = CountingForm(identity_distortion(), gen_utility(5, "uf-strict"))
+    # Left-continuous probes with jumps, before a distortion that is not
+    # right-continuous, keep both orientations off the form shortcut, so
+    # every instance is decided on the corpus.
+    form = CountingForm(gen_distortion(0, "df"), gen_utility(5, "uf-strict"))
     probes = [gen_utility(7, "uf-left"), gen_utility(8, "uf-left")]
     assert not any(p.cls.continuous for p in probes)
+    assert not form.d.cls.right_continuous
     res = set_commute_check(form, "utilities", probes, CORPUS)
     assert isinstance(res, Pass) and res.count == 2 * 2 * len(CORPUS)
     # form(F) once per entry, plus form(probe(F)) and form(partner(F)) per probe
