@@ -400,7 +400,7 @@ def _differ(law: str, name: str, F: Cdf, lhs: Cdf, rhs: Cdf) -> Witness | None:
 
 
 DISTORTION_KINDS = ("df", "df-rc", "df-strict")
-UTILITY_KINDS = ("uf", "uf-left", "uf-strict")
+UTILITY_KINDS = ("uf", "uf-left", "uf-strict", "uf-any")
 KINDS = ("cdf",) + DISTORTION_KINDS + UTILITY_KINDS
 
 
@@ -410,8 +410,9 @@ def gen(seed: int, kind: str, complexity: int = 3):
     Kinds: ``cdf``; distortions ``df`` (any), ``df-rc`` (right-continuous),
     ``df-strict`` (strictly increasing continuous); utilities ``uf``
     (continuous), ``uf-left`` (left-continuous), ``uf-strict`` (strictly
-    increasing continuous surjection).  Output is certified against the
-    requested class before being returned.
+    increasing continuous surjection), ``uf-any`` (jumps valued at either
+    limit or inside).  Output is certified against the requested class
+    before being returned.
     """
     if kind == "cdf":
         return gen_cdf(seed, complexity)
@@ -516,12 +517,14 @@ def gen_utility(seed: int, kind: str = "uf", complexity: int = 3) -> Utility:
         vals = _sorted_sample(rng, [Fraction(i, 8) for i in range(-32, 33)], k)
         tails = (rng.choice([Fraction(1, 2), 1, 2, 3]), rng.choice([Fraction(1, 2), 1, 2, 3]))
         points = [pwfn.bp(x, v) for x, v in zip(xs, vals)]
-    elif kind == "uf-left":
-        ladder = sorted(_rational(rng, -4, 4, 8) for _ in range(2 * k))
+    elif kind in ("uf-left", "uf-any"):
+        w = 2 if kind == "uf-left" else 3  # values drawn per jump
+        ladder = sorted(_rational(rng, -4, 4, 8) for _ in range(w * k))
         points = []
         for i, x in enumerate(xs):
-            l, r = ladder[2 * i], ladder[2 * i + 1]
-            points.append(pwfn.Breakpoint(x, l, l, r))
+            l, r = ladder[w * i], ladder[w * i + w - 1]
+            at = l if w == 2 else rng.choice(ladder[w * i : w * i + w])
+            points.append(pwfn.Breakpoint(x, l, at, r))
         tails = (rng.choice([Fraction(0), Fraction(1, 2), 1, 2]), rng.choice([Fraction(0), Fraction(1, 2), 1, 2]))
     else:  # continuous utility; flats allowed
         ladder = sorted(_rational(rng, -4, 4, 8) for _ in range(k))

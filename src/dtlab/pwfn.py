@@ -187,9 +187,8 @@ def _canonical(bps: tuple[Breakpoint, ...], tails, into=None) -> PiecewiseMonoto
         slopes = tuple(slopes[i] for i in kept[:-1])
     else:
         # Pure affine function on the reals; anchor it at x = 0.
-        b0 = bps[0]
-        v = b0.at + tails[0] * (0 - b0.x)
-        keep, slopes = (Breakpoint(Fraction(0), v, v, v),), ()
+        v = _on_line(bps[0].at, tails[0], bps[0].x, _ZERO)
+        keep, slopes = (Breakpoint(_ZERO, v, v, v),), ()
     f = object.__new__(PiecewiseMonotone) if into is None else into
     object.__setattr__(f, "breakpoints", keep)
     object.__setattr__(f, "tails", tails)
@@ -202,13 +201,24 @@ def _slope(a: Breakpoint, c: Breakpoint) -> Fraction:
     """Slope from a's right limit to c's left limit, normalised once rather
     than after each of the three Fraction operations that spell it."""
     y0, y1, x0, x1 = a.right, c.left, a.x, c.x
-    if y0 == y1:
+    dy = y1.numerator * y0.denominator - y0.numerator * y1.denominator
+    if not dy:
         return _ZERO
     return Fraction(
-        (y1.numerator * y0.denominator - y0.numerator * y1.denominator)
-        * x0.denominator * x1.denominator,
+        dy * x0.denominator * x1.denominator,
         (x1.numerator * x0.denominator - x0.numerator * x1.denominator)
         * y0.denominator * y1.denominator,
+    )
+
+
+def _on_line(y0, s, x0, x) -> Fraction:
+    """y0 + s * (x - x0) from integer numerators and denominators, normalised
+    once; s may be an int."""
+    yd, sd, xd, x0d = y0.denominator, s.denominator, x.denominator, x0.denominator
+    den = sd * xd * x0d
+    return Fraction(
+        y0.numerator * den + yd * s.numerator * (x.numerator * x0d - x0.numerator * xd),
+        yd * den,
     )
 
 
@@ -226,12 +236,10 @@ def _triple(f: PiecewiseMonotone, j: int, x: Fraction):
         side = "below" if j == 0 else "above"
         raise DomainError(f"{x} is {side} the domain [{f.lo}, {f.hi}]")
     if j == 0:
-        v = bps[0].left - f.tails[0] * (xs[0] - x)
-    elif j == m:
-        v = bps[-1].right + f.tails[1] * (x - xs[-1])
+        v = _on_line(bps[0].left, f.tails[0], xs[0], x)
     else:
         a = bps[j - 1]
-        v = a.right + f._slopes[j - 1] * (x - a.x)
+        v = _on_line(a.right, f.tails[1] if j == m else f._slopes[j - 1], a.x, x)
     return j, (v, v, v)
 
 
@@ -399,19 +407,15 @@ def compose(
     s_lo, s_hi = (0, 0) if g.is_bounded else g.tails
     out: list[Breakpoint] = []
     j = 0  # the abscissas of f before j are placed or passed
+    flat_r = s_lo == 0  # whether g is flat on the piece before the next breakpoint
     for i, b in enumerate(gbps):
-        if i == 0:
-            flat_l = s_lo == 0
-            if not flat_l:
-                j = _preimages(out, f, j, b.x, b.left, s_lo, NEG_INF, b.left, right_limits)
-        else:
+        flat_l = flat_r
+        if not flat_l and i == 0:
+            j = _preimages(out, f, j, b.x, b.left, s_lo, NEG_INF, b.left, right_limits)
+        elif not flat_l:
             a = gbps[i - 1]
-            flat_l = a.right == b.left
-            if not flat_l:
-                j = _preimages(
-                    out, f, j, a.x, a.right, gslopes[i - 1], a.right, b.left, right_limits
-                )
-        flat_r = b.right == gbps[i + 1].left if i < n - 1 else s_hi == 0
+            j = _preimages(out, f, j, a.x, a.right, gslopes[i - 1], a.right, b.left, right_limits)
+        flat_r = not gslopes[i].numerator if i < n - 1 else s_hi == 0
         j, fl = _triple(f, j, b.left)
         j, fa = (j, fl) if b.at == b.left else _triple(f, j, b.at)
         j, fr = (j, fa) if b.right == b.at else _triple(f, j, b.right)
@@ -441,10 +445,12 @@ def _preimages(out, f, j, x0, v0, slope, lo_v, hi_v, right_limits) -> int:
     m = len(fxs)
     while j < m and fxs[j] <= lo_v:
         j += 1
+    inv = None  # 1 / slope, made at the first preimage
     while j < m and fxs[j] < hi_v:
         t = fbps[j]
+        inv = inv or Fraction(slope.denominator, slope.numerator)
         at = t.right if right_limits else t.at
-        out.append(Breakpoint(x0 + (t.x - v0) / slope, t.left, at, t.right))
+        out.append(Breakpoint(_on_line(x0, inv, v0, t.x), t.left, at, t.right))
         j += 1
     return j
 

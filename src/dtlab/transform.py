@@ -9,6 +9,7 @@ words collapse to the normal shape distort-after-push.  Everything is exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -17,7 +18,7 @@ from typing import Callable, Union
 from . import pwfn
 from .dist import Cdf, mean
 from .errors import ClassError, LevelError, NormalFormError, NotInvertibleError
-from .pwfn import Classification, PiecewiseMonotone, _canonical, _put, _triple, classify, rat
+from .pwfn import Classification, PiecewiseMonotone, _canonical, _on_line, _put, _triple, classify, rat
 
 
 @dataclass(frozen=True)
@@ -127,17 +128,31 @@ def apply_utility(u: Utility, F: Cdf) -> Cdf:
     F's support, the result reaches F(x-) at u(x-), F(x) at u(x) and holds
     it up to u(x+).  Between those points both are affine, so a flat piece
     of u merges its ends into an atom and the gap of a jump gets no mass.
+    One walk merges F's abscissas with u's; both indices only move forward.
     """
     f, g = F.fn, u.fn
-    xs = sorted({*f._xs, *(x for x in g._xs if f.lo < x < f.hi)})
+    fbps, gbps, gxs = f.breakpoints, g.breakpoints, g._xs
     out = []
-    i = j = 0  # both functions are read forward along the ascending xs
-    for x in xs:
-        i, (fl, fa, _) = _triple(f, i, x)
-        j, (ul, ua, ur) = _triple(g, j, x)
-        _put(out, ul, fl, fl)
-        _put(out, ua, fl, fa)
-        _put(out, ur, fa, fa)
+    j, m = bisect_left(gxs, f.lo), len(gxs)  # u's abscissas before j are read
+    for i, b in enumerate(fbps):
+        if i:  # u's abscissas strictly inside F's stretch before b, where F is continuous
+            a, s = fbps[i - 1], f._slopes[i - 1]
+            while j < m and gxs[j] < b.x:
+                c = gbps[j]
+                v = _on_line(a.right, s, a.x, c.x)
+                _put(out, c.left, v, v)
+                if c.right != c.left:
+                    _put(out, c.right, v, v)
+                j += 1
+        j, (ul, ua, ur) = _triple(g, j, b.x)
+        if j < m and gxs[j] == b.x:
+            j += 1  # u's breakpoint at b is read; the next stretch starts past it
+        if ul == ur:
+            _put(out, ul, b.left, b.at)
+        else:
+            _put(out, ul, b.left, b.left)
+            _put(out, ua, b.left, b.at)
+            _put(out, ur, b.at, b.at)
     return Cdf(_canonical(tuple(out), (Fraction(0), Fraction(0))))
 
 

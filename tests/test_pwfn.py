@@ -15,6 +15,8 @@ from dtlab.pwfn import (
     POS_INF,
     Breakpoint,
     PiecewiseMonotone,
+    _on_line,
+    _slope,
     _sup_walk,
     bp,
     classify,
@@ -502,3 +504,52 @@ def test_pseudo_inverse_on_generated_jumps_and_flats_matches_sup_walks():
             assert_pseudo_inverse_matches_sup_walks(f)
             checked += 1
     assert checked >= 40
+
+
+def test_pseudo_inverse_of_jumps_valued_anywhere_matches_sup_walks():
+    # uf-any draws jumps valued at the left limit, at the right limit and
+    # strictly inside, so the flip must map each breakpoint's left limit back
+    checked = inside = 0
+    for seed in range(60):
+        f = gen_utility(seed, "uf-any", complexity=8).fn
+        if 0 in f.tails:
+            continue
+        assert_pseudo_inverse_matches_sup_walks(f)
+        checked += 1
+        inside += any(b.left < b.at < b.right for b in f.breakpoints)
+    assert checked >= 20 and inside >= 10
+
+
+# -- exact affine reads -------------------------------------------------------
+
+# Numerators and denominators up to 2**64, of either sign; compose's largest
+# denominators on deep words reach 63 bits.
+WIDE = 1 << 64
+rationals = st.builds(Q, st.integers(-WIDE, WIDE), st.integers(1, WIDE))
+small_rationals = st.builds(Q, st.integers(-40, 40), st.integers(1, 12))
+values = rationals | small_rationals
+slopes = st.one_of(values, st.integers(-5, 5), st.just(Q(0)))
+
+
+def same_fraction(got, want):
+    return type(got) is Q and (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values, slopes, values, st.none() | values)
+def test_on_line_matches_fraction_arithmetic(y0, s, x0, x):
+    x = x0 if x is None else x  # None draws the anchor itself
+    got = _on_line(y0, s, x0, x)
+    assert same_fraction(got, y0 + s * (x - x0))
+    if x == x0 or s == 0:
+        assert got == y0
+
+
+@settings(max_examples=150, deadline=None)
+@given(values, values, values, values, st.booleans())
+def test_slope_matches_fraction_arithmetic(x0, x1, y0, y1, flat):
+    if x0 == x1:
+        x1 = x0 + 1
+    y1 = y0 if flat else y1
+    a, c = Breakpoint(x0, y0, y0, y0), Breakpoint(x1, y1, y1, y1)
+    assert same_fraction(_slope(a, c), (y1 - y0) / (x1 - x0))

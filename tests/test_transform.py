@@ -202,6 +202,26 @@ def test_pushforward_walk_matches_eval3_on_generated():
             assert apply_utility(u, F) == pushforward_by_eval3(u, F), (seed, kind)
 
 
+def test_pushforward_reads_a_breakpoint_shared_with_the_cdf_once():
+    # u jumps at 2 and takes its right limit there; F has an atom at 2 with a
+    # stretch after it, which must start past u's breakpoint, not reread it
+    u = Utility(pwfn.on_reals([bp(0, 0), Breakpoint(Q(2), Q(1), Q(3), Q(3))], 1, 1))
+    F = make([Uniform(Q(1), Q(2), Q(1, 4)), Atom(Q(2), Q(1, 4)), Uniform(Q(2), Q(3), HALF)])
+    assert apply_utility(u, F) == pushforward_by_eval3(u, F)
+
+
+def test_pushforward_walk_matches_eval3_on_jumps_valued_anywhere():
+    # uf-any puts each jump's value at its left limit, its right limit or
+    # strictly between them
+    shapes = set()
+    for seed in range(60):
+        F = gen_cdf(seed, complexity=6)
+        u = gen_utility(seed, "uf-any", complexity=8)
+        assert apply_utility(u, F) == pushforward_by_eval3(u, F), seed
+        shapes |= {(b.at == b.left, b.at == b.right) for b in u.fn.breakpoints if b.left < b.right}
+    assert shapes == {(True, False), (False, True), (False, False)}
+
+
 # Jumps at 1 and at 3 whose values lie strictly between their limits, as
 # the CLI accepts them; a flat piece from 2 to 3 leads into the second.
 INSIDE_JUMPS = Utility(pwfn.on_reals(
