@@ -14,7 +14,7 @@ from operator import le, lt, ne
 from typing import Iterable
 
 from .errors import LevelError, SpecError
-from .pwfn import Breakpoint, PiecewiseMonotone, _canonical, _first_where, _sup_walk, rat
+from .pwfn import Breakpoint, PiecewiseMonotone, _canonical, _eq, _first_where, _sup_walk, rat
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class Cdf:
         bps = f.breakpoints
         if bps[0].left != 0 or bps[-1].right != 1:
             raise SpecError("a cdf must rise from 0 to 1")
-        if any(b.at != b.right for b in bps):
+        if not all(_eq(b.at, b.right) for b in bps):
             raise SpecError("a cdf must be right-continuous")
 
     @property
@@ -76,9 +76,10 @@ def make(components: Iterable[Component]) -> Cdf:
     """Canonical cdf of a mixture of point masses and uniform stretches.
 
     Weights must be positive and sum to one; coincident atoms merge and
-    overlapping uniforms stack.
+    overlapping uniforms stack.  Every field passes through `rat`, so a
+    float raises `ParseError`.
     """
-    comps = list(components)
+    comps = [atom(c.x, c.w) if isinstance(c, Atom) else unif(c.a, c.b, c.w) for c in components]
     total = Fraction(0)
     atoms: dict[Fraction, Fraction] = {}
     steps: dict[Fraction, Fraction] = {}  # change of the density at each end of a uniform

@@ -10,7 +10,9 @@ breakpoints with linear tails of nonnegative slope.
 
 Construction always canonicalises: breakpoints that sit on the interior of
 an affine stretch and carry no jump are dropped, so two representations of
-the same function compare equal with plain ``==``.
+the same function compare equal with plain ``==``.  The constructor makes
+every stored value a `Fraction`, so the kernels compare stored values on
+their integers (`_eq`, `_lt`).
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ def rat(value) -> Fraction:
     value.  Strings must be an integer or ``p/q`` (no decimals, exponents or
     spaces); other text and zero denominators raise `ParseError`.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise ParseError(f"{value!r} is a float; write it as an integer or p/q")
     if isinstance(value, str) and not _RAT_TEXT.fullmatch(value):
@@ -58,6 +62,18 @@ def format_rat(q: Fraction) -> str:
 NEG_INF = -math.inf
 POS_INF = math.inf
 _ZERO = Fraction(0)
+
+
+def _eq(a: Fraction, b: Fraction) -> bool:
+    """a == b for two Fractions: being normalised, they are equal exactly when
+    their numerators and their denominators are."""
+    return a is b or (a._numerator == b._numerator and a._denominator == b._denominator)
+
+
+def _lt(a: Fraction, b: Fraction) -> bool:
+    """a < b for two Fractions, cross-multiplied over their positive denominators."""
+    return a._numerator * b._denominator < b._numerator * a._denominator
+
 
 ExtendedRat = Union[Fraction, float]
 
@@ -103,27 +119,31 @@ class PiecewiseMonotone:
     )
 
     def __post_init__(self):
-        bps = tuple(self.breakpoints)
+        bps = tuple(  # every stored value a Fraction; floats raise ParseError
+            b if type(b.x) is type(b.left) is type(b.at) is type(b.right) is Fraction
+            else Breakpoint(rat(b.x), rat(b.left), rat(b.at), rat(b.right))
+            for b in self.breakpoints
+        )
         if not bps:
             raise ValueError("at least one breakpoint is required")
         for b in bps:
-            if not (b.left <= b.at <= b.right):
+            if _lt(b.at, b.left) or _lt(b.right, b.at):
                 raise ValueError(f"breakpoint triple out of order at x={b.x}")
         for a, c in zip(bps, bps[1:]):
-            if a.x >= c.x:
+            if not _lt(a.x, c.x):
                 raise ValueError("breakpoint abscissas must be strictly increasing")
-            if a.right > c.left:
+            if _lt(c.left, a.right):
                 raise ValueError(f"function decreases between x={a.x} and x={c.x}")
         if self.tails is None:
             if len(bps) < 2:
                 raise ValueError("a bounded domain needs breakpoints at both ends")
-            if bps[0].left != bps[0].at or bps[-1].at != bps[-1].right:
+            if not (_eq(bps[0].left, bps[0].at) and _eq(bps[-1].at, bps[-1].right)):
                 raise ValueError("endpoint limits must equal the endpoint values")
         else:
-            lo, hi = self.tails
+            lo, hi = map(rat, self.tails)
             if lo < 0 or hi < 0:
                 raise ValueError("tail slopes must be nonnegative")
-            object.__setattr__(self, "tails", (rat(lo), rat(hi)))
+            object.__setattr__(self, "tails", (lo, hi))
         _canonical(bps, self.tails, self)
 
     # -- domain -----------------------------------------------------------
@@ -180,7 +200,8 @@ def _canonical(bps: tuple[Breakpoint, ...], tails, into=None) -> PiecewiseMonoto
     sides = [ends[0], *slopes, ends[1]]  # the slopes either side of bps[i]: sides[i], sides[i + 1]
     kept = [
         i for i, b in enumerate(bps)
-        if sides[i] is None or sides[i] != sides[i + 1] or not (b.left == b.at == b.right)
+        if (s := sides[i]) is None or (t := sides[i + 1]) is None or not _eq(s, t)
+        or not (_eq(b.left, b.at) and _eq(b.at, b.right))
     ]
     if kept:
         keep = tuple(bps[i] for i in kept)
@@ -201,23 +222,21 @@ def _slope(a: Breakpoint, c: Breakpoint) -> Fraction:
     """Slope from a's right limit to c's left limit, normalised once rather
     than after each of the three Fraction operations that spell it."""
     y0, y1, x0, x1 = a.right, c.left, a.x, c.x
-    dy = y1.numerator * y0.denominator - y0.numerator * y1.denominator
+    y0d, y1d = y0._denominator, y1._denominator
+    dy = y1._numerator * y0d - y0._numerator * y1d
     if not dy:
         return _ZERO
-    return Fraction(
-        dy * x0.denominator * x1.denominator,
-        (x1.numerator * x0.denominator - x0.numerator * x1.denominator)
-        * y0.denominator * y1.denominator,
-    )
+    x0d, x1d = x0._denominator, x1._denominator
+    return Fraction(dy * x0d * x1d, (x1._numerator * x0d - x0._numerator * x1d) * y0d * y1d)
 
 
 def _on_line(y0, s, x0, x) -> Fraction:
     """y0 + s * (x - x0) from integer numerators and denominators, normalised
     once; s may be an int."""
-    yd, sd, xd, x0d = y0.denominator, s.denominator, x.denominator, x0.denominator
+    yd, sd, xd, x0d = y0._denominator, s.denominator, x._denominator, x0._denominator
     den = sd * xd * x0d
     return Fraction(
-        y0.numerator * den + yd * s.numerator * (x.numerator * x0d - x0.numerator * xd),
+        y0._numerator * den + yd * s.numerator * (x._numerator * x0d - x0._numerator * xd),
         yd * den,
     )
 
@@ -227,9 +246,10 @@ def _triple(f: PiecewiseMonotone, j: int, x: Fraction):
     abscissa at or above x, found by walking forward from j."""
     bps, xs = f.breakpoints, f._xs
     m = len(xs)
-    while j < m and xs[j] < x:
+    xn, xd = x._numerator, x._denominator
+    while j < m and (y := xs[j]) is not x and y._numerator * xd < xn * y._denominator:
         j += 1
-    if j < m and xs[j] == x:
+    if j < m and ((y := xs[j]) is x or y._numerator == xn and y._denominator == xd):
         b = bps[j]
         return j, (b.left, b.at, b.right)
     if f.is_bounded and j in (0, m):
@@ -415,10 +435,10 @@ def compose(
         elif not flat_l:
             a = gbps[i - 1]
             j = _preimages(out, f, j, a.x, a.right, gslopes[i - 1], a.right, b.left, right_limits)
-        flat_r = not gslopes[i].numerator if i < n - 1 else s_hi == 0
+        flat_r = not gslopes[i]._numerator if i < n - 1 else s_hi == 0
         j, fl = _triple(f, j, b.left)
-        j, fa = (j, fl) if b.at == b.left else _triple(f, j, b.at)
-        j, fr = (j, fa) if b.right == b.at else _triple(f, j, b.right)
+        j, fa = (j, fl) if _eq(b.at, b.left) else _triple(f, j, b.at)
+        j, fr = (j, fa) if _eq(b.right, b.at) else _triple(f, j, b.right)
         right = fr[1] if flat_r else fr[2]
         at = right if right_limits else fa[1]
         out.append(Breakpoint(b.x, fl[1] if flat_l else fl[0], at, right))
@@ -443,10 +463,11 @@ def _preimages(out, f, j, x0, v0, slope, lo_v, hi_v, right_limits) -> int:
     """
     fbps, fxs = f.breakpoints, f._xs
     m = len(fxs)
-    while j < m and fxs[j] <= lo_v:
-        j += 1
+    if lo_v is not NEG_INF:
+        while j < m and not _lt(lo_v, fxs[j]):
+            j += 1
     inv = None  # 1 / slope, made at the first preimage
-    while j < m and fxs[j] < hi_v:
+    while j < m and (hi_v is POS_INF or _lt(fxs[j], hi_v)):
         t = fbps[j]
         inv = inv or Fraction(slope.denominator, slope.numerator)
         at = t.right if right_limits else t.at
@@ -458,7 +479,7 @@ def _preimages(out, f, j, x0, v0, slope, lo_v, hi_v, right_limits) -> int:
 def _put(out: list[Breakpoint], x: Fraction, left: Fraction, at: Fraction) -> None:
     """Append the right-continuous breakpoint (x: left, at, at) to the ascending
     ``out``; at x equal to the last abscissa, keep that one's left limit."""
-    if out and out[-1].x == x:
+    if out and _eq(out[-1].x, x):
         left = out.pop().left
     out.append(Breakpoint(x, left, at, at))
 

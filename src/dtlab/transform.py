@@ -18,7 +18,9 @@ from typing import Callable, Union
 from . import pwfn
 from .dist import Cdf, mean
 from .errors import ClassError, LevelError, NormalFormError, NotInvertibleError
-from .pwfn import Classification, PiecewiseMonotone, _canonical, _on_line, _put, _triple, classify, rat
+from .pwfn import (
+    Classification, PiecewiseMonotone, _canonical, _eq, _lt, _on_line, _put, _triple, classify, rat,
+)
 
 
 @dataclass(frozen=True)
@@ -137,17 +139,17 @@ def apply_utility(u: Utility, F: Cdf) -> Cdf:
     for i, b in enumerate(fbps):
         if i:  # u's abscissas strictly inside F's stretch before b, where F is continuous
             a, s = fbps[i - 1], f._slopes[i - 1]
-            while j < m and gxs[j] < b.x:
+            while j < m and _lt(gxs[j], b.x):
                 c = gbps[j]
                 v = _on_line(a.right, s, a.x, c.x)
                 _put(out, c.left, v, v)
-                if c.right != c.left:
+                if not _eq(c.right, c.left):
                     _put(out, c.right, v, v)
                 j += 1
         j, (ul, ua, ur) = _triple(g, j, b.x)
-        if j < m and gxs[j] == b.x:
+        if j < m and _eq(gxs[j], b.x):
             j += 1  # u's breakpoint at b is read; the next stretch starts past it
-        if ul == ur:
+        if _eq(ul, ur):
             _put(out, ul, b.left, b.at)
         else:
             _put(out, ul, b.left, b.left)

@@ -7,6 +7,8 @@ checks.  This sweep rebuilds each output through the validating
 `PiecewiseMonotone(bps, tails)` and recomputes its stored slopes.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from dtlab.dist import decompose, make
@@ -50,3 +52,11 @@ def test_kernel_outputs_are_canonical(level):
     for seed in range(3):
         for f in kernel_outputs(seed, level):
             assert_canonical(f)
+
+
+def test_kernel_outputs_store_only_fractions():
+    # `pwfn._eq` and `pwfn._lt` read every stored value's integers
+    for level in range(1, 16):
+        for f in kernel_outputs(0, level):
+            values = [v for b in f.breakpoints for v in (b.x, b.left, b.at, b.right)]
+            assert all(type(v) is Fraction for v in values + list(f.tails or ()))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dtlab.dist import (
     Atom,
     Cdf,
+    Uniform,
     atom,
     bernoulli,
     decompose,
@@ -23,7 +24,7 @@ from dtlab.dist import (
     unif,
     uniform,
 )
-from dtlab.errors import LevelError, SpecError
+from dtlab.errors import LevelError, ParseError, SpecError
 from dtlab.lab import canonical_corpus, gen_cdf
 
 
@@ -71,6 +72,27 @@ def test_make_rejects_bad_specs():
         make([atom(0, Q(1, 2)), unif(1, 1, Q(1, 2))])  # empty interval
     with pytest.raises(SpecError):
         make([atom(0, Q(3, 2)), atom(1, Q(-1, 2))])  # negative weight
+
+
+def test_make_keeps_exact_and_int_fields_exact():
+    F = make([Atom(Q(1, 10), 1)])
+    assert F == dirac(Q(1, 10))
+    assert mean(F) == Q(1, 10) and type(mean(F)) is Q
+    assert make([Atom(1, 1)]) == dirac(1)
+    G = make([Uniform(0, 2, Q(1, 2)), Atom(1, "1/2")])
+    assert G == make([unif(0, 2, Q(1, 2)), atom(1, Q(1, 2))])
+    assert all(
+        type(v) is Q for b in G.fn.breakpoints for v in (b.x, b.left, b.at, b.right)
+    )
+
+
+@pytest.mark.parametrize(
+    "comps",
+    [[Atom(0.1, 1)], [Atom(0, 1.0)], [Uniform(0, 0.5, 1)], [Uniform(0, 1, 0.5), Atom(2, Q(1, 2))]],
+)
+def test_make_refuses_floats(comps):
+    with pytest.raises(ParseError):
+        make(comps)
 
 
 def test_coincident_atoms_merge():

@@ -15,6 +15,8 @@ from dtlab.pwfn import (
     POS_INF,
     Breakpoint,
     PiecewiseMonotone,
+    _eq,
+    _lt,
     _on_line,
     _slope,
     _sup_walk,
@@ -86,6 +88,32 @@ def test_invalid_constructions_raise_under_python_O():
         "        print('ValueError')\n"
     )
     assert _run_optimized(code) == "ValueError\n" * len(INVALID_CONSTRUCTIONS)
+
+
+def test_constructor_makes_every_field_a_fraction():
+    # ints and p/q text are read exactly; the kernels compare stored values
+    # on their integers, so nothing else may be stored
+    f = pwfn.bounded([Breakpoint(0, 0, 0, 0), Breakpoint(1, "1/2", 1, 1)])
+    assert f == pwfn.bounded([bp(0, 0), bp(1, Q(1, 2), 1)])
+    g = PiecewiseMonotone((bp(0, 0),), ("1/2", 1))
+    assert g.tails == (Q(1, 2), 1)
+    for h in (f, g):
+        values = [v for b in h.breakpoints for v in (b.x, b.left, b.at, b.right)]
+        assert all(type(v) is Q for v in values + list(h.tails or ()))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: pwfn.bounded([Breakpoint(0, 0, 0, 0), Breakpoint(0.5, 1, 1, 1)]),
+        lambda: pwfn.bounded([Breakpoint(0, 0, 0, 0), Breakpoint(1, 0.5, 1, 1)]),
+        lambda: PiecewiseMonotone((bp(0, 0),), (0.5, 1)),
+        lambda: PiecewiseMonotone((bp(0, 0),), (1, 0.5)),
+    ],
+)
+def test_constructor_refuses_floats(build):
+    with pytest.raises(ParseError):
+        build()
 
 
 def test_flat_tail_encodes_clamped_function():
@@ -553,3 +581,27 @@ def test_slope_matches_fraction_arithmetic(x0, x1, y0, y1, flat):
     y1 = y0 if flat else y1
     a, c = Breakpoint(x0, y0, y0, y0), Breakpoint(x1, y1, y1, y1)
     assert same_fraction(_slope(a, c), (y1 - y0) / (x1 - x0))
+
+
+# -- exact comparisons ----------------------------------------------------------
+
+
+def test_fraction_stores_normalised_integers():
+    # _eq and _lt read these slots: lowest terms, with the sign on the numerator
+    q = Q(6, -4)
+    assert (q._numerator, q._denominator) == (-3, 2)
+    assert (Q(0, -7)._numerator, Q(0, -7)._denominator) == (0, 1)
+    assert (Q(-8)._numerator, Q(-8)._denominator) == (-8, 1)
+
+
+compared = values | st.integers(-3, 3).map(Q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(compared, compared, st.integers(-WIDE, WIDE).filter(bool))
+def test_eq_and_lt_match_fraction_comparisons(a, b, k):
+    twin = Q(a.numerator * k, a.denominator * k)  # a's value, held as another object
+    assert twin is not a
+    for x, y in ((a, b), (b, a), (a, twin), (twin, a), (a, a)):
+        assert _eq(x, y) == (x == y)
+        assert _lt(x, y) == (x < y)
