@@ -24,13 +24,13 @@ class Cdf:
     fn: PiecewiseMonotone
 
     def __post_init__(self):
-        f = self.fn
-        if f.is_bounded or f.tails != (0, 0):
+        f = self.fn  # its stored values are Fractions: 0 has numerator 0, 1 has n == d
+        if f.is_bounded or f.tails[0]._numerator or f.tails[1]._numerator:
             raise SpecError("a cdf lives on the reals with flat tails")
-        bps = f.breakpoints
-        if bps[0].left != 0 or bps[-1].right != 1:
+        lo, hi = f.breakpoints[0].left, f.breakpoints[-1].right
+        if lo._numerator or hi._numerator != hi._denominator:
             raise SpecError("a cdf must rise from 0 to 1")
-        if not all(_eq(b.at, b.right) for b in bps):
+        if not all(_eq(b.at, b.right) for b in f.breakpoints):
             raise SpecError("a cdf must be right-continuous")
 
     @property

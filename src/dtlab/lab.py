@@ -31,8 +31,8 @@ from .dist import (
     unif,
     uniform,
 )
-from .errors import ClassError, ExtractionError, NormalFormError
-from .pwfn import NEG_INF, POS_INF, PiecewiseMonotone, _first_where, format_rat, rat
+from .errors import ClassError, ExtractionError
+from .pwfn import NEG_INF, POS_INF, _first_where, format_rat, rat
 from .transform import (
     Distort,
     Distortion,
@@ -45,6 +45,7 @@ from .transform import (
     apply_distortion,
     apply_utility,
     apply_word,
+    compose_distortions,
     normal_form,
 )
 
@@ -100,6 +101,10 @@ def corpus_with_random(seed: int, extra: int = 5) -> Corpus:
 class Pass:
     law: str
     count: int
+
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError(f"law {self.law} checked no instance")
 
     def report(self) -> str:
         return f"PASS {self.law} {self.count}"
@@ -158,14 +163,6 @@ def commute_check(
     representation at which the two sides differ.
     """
     return commute_check_like_roundtrip(lambda F: t1(t2(F)), lambda F: t2(t1(F)), corpus, law)
-
-
-def _collapsed(steps) -> tuple[PiecewiseMonotone, PiecewiseMonotone] | None:
-    """The raw (d, u) pair of a word's normal form, or None if it has none."""
-    try:
-        return _collapse(steps)
-    except NormalFormError:
-        return None
 
 
 def _composed_equal(
@@ -239,11 +236,11 @@ def set_commute_check(
         the g-component probe o g of the collapsed word (probe, *T)."""
         partner = wrap(pwfn.compose(g.fn, pwfn.compose(probe.fn, inv)))
         yield (lambda F: apply(partner, form_once(F)), lambda F: form(apply(probe, F)),
-               _collapsed((step(partner), *T)), _collapsed((*T, step(probe))))
-        right = _collapsed((step(probe), *T))
+               _collapse((step(partner), *T)), _collapse((*T, step(probe))))
+        right = _collapse((step(probe), *T))
         partner_r = wrap(pwfn.compose(inv, right[k] if right else pwfn.compose(probe.fn, g.fn)))
         yield (lambda F: form(apply(partner_r, F)), lambda F: apply(probe, form_once(F)),
-               _collapsed((*T, step(partner_r))), right)
+               _collapse((*T, step(partner_r))), right)
 
     total = 0
     for probe in probes:
@@ -280,8 +277,10 @@ def lsc_check(
 
     Violated means every transformed sequence element stays below the bound
     but the transformed limit does not; convergence of the supplied
-    sequence is the caller's responsibility.
+    sequence is the caller's responsibility; an empty one raises ValueError.
     """
+    if not sequence:
+        raise ValueError("lsc needs a nonempty sequence")
     premise = all(leq_st(t(F), bound) for F in sequence)
     limit_ok = leq_st(t(limit), bound)
     return LscResult(
@@ -713,17 +712,14 @@ def fuzz_normal_form(
 
 
 def fuzz_collapse_nonrc(iters: int, seed: int, corpus: Corpus) -> CheckResult:
-    """Search for a distortion pair where pointwise composition disagrees
-    with sequential application; no constraint is placed on continuity.
-
-    Whether such a witness exists in this function class is left open;
-    this target searches rather than asserts.
-    """
+    """Seeded distortion pairs of any continuity: applying
+    `compose_distortions(d2, d1)` must equal applying d1 then d2, a law of
+    the function class (see `normal_form`), so a witness is a bug."""
 
     def step(i, name, F):
         d2 = gen_distortion(seed * 509 + i, "df")
         d1 = gen_distortion(seed * 521 + i, "df")
-        lhs = apply_distortion(Distortion(pwfn.compose(d2.fn, d1.fn)), F)
+        lhs = apply_distortion(compose_distortions(d2, d1), F)
         rhs = apply_distortion(d2, apply_distortion(d1, F))
         return _differ("distortion-collapse", name, F, lhs, rhs)
 

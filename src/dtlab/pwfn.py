@@ -27,8 +27,6 @@ from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, NotInvertibleError, ParseError
 
-Rat = Fraction
-
 
 _RAT_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 

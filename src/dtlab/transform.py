@@ -177,28 +177,19 @@ def compose_utilities(u1: Utility, u2: Utility) -> Utility:
 
 
 def compose_distortions(d2: Distortion, d1: Distortion) -> Distortion:
-    """d2 o d1, valid as a transform collapse only for right-continuous d2.
-
-    With a right-continuous outer function the pointwise composition
-    commutes with the right limit taken by `apply_distortion`, so applying
-    the result equals applying d1 then d2.  Anything else is refused;
-    callers keep evaluating word-wise.
-    """
-    if not d2.cls.right_continuous:
-        raise ClassError("outer distortion must be right-continuous to collapse")
+    """d2 o d1; applying it equals applying d1 then d2, for any d1 and d2 (see `normal_form`)."""
     return Distortion(pwfn.compose(d2.fn, d1.fn))
 
 
-def _collapse(steps) -> tuple[PiecewiseMonotone, PiecewiseMonotone]:
-    """The raw (d, u) pair of an admissible word's normal form; see `normal_form`."""
+def _collapse(steps) -> tuple[PiecewiseMonotone, PiecewiseMonotone] | None:
+    """The raw (d, u) pair of a word's normal form, or None when some push
+    cannot move past the distortions to its right; see `normal_form`."""
     seen, rc = False, True  # a distortion lies to the right; all of those are rc
     for step in reversed(steps):
         if isinstance(step, Distort):
-            if not rc:
-                raise NormalFormError("only the leftmost distortion may fail right-continuity")
-            seen, rc = True, step.d.cls.right_continuous
+            seen, rc = True, rc and step.d.cls.right_continuous
         elif seen and not (step.u.cls.continuous or step.u.cls.left_continuous and rc):
-            raise NormalFormError("a pushforward cannot move past the distortions to its right")
+            return None
     ds = [s.d.fn for s in steps if isinstance(s, Distort)]
     us = [s.u.fn for s in steps if isinstance(s, Push)]
     return (reduce(pwfn.compose, ds) if ds else pwfn.identity(0, 1),
@@ -208,16 +199,24 @@ def _collapse(steps) -> tuple[PiecewiseMonotone, PiecewiseMonotone]:
 def normal_form(word: TransformWord) -> RduForm:
     """Collapse an admissible word to a single distort-after-push shape.
 
-    Admissible means: each pushforward can move right past the distortions
-    to its right, because u is continuous (so it commutes with every
-    distortion) or because u is left-continuous and those distortions are
-    all right-continuous (the pairing law); a push with no distortion to its
-    right never moves.  And every distortion except possibly the leftmost is
-    right-continuous, so the inner run collapses to a right-continuous
-    function and the leftmost composes onto it.
+    Admissible means that each pushforward can move right past the
+    distortions to its right: u is continuous (so it commutes with every
+    distortion), or u is left-continuous and those distortions are all
+    right-continuous (the pairing law).  A push with no distortion to its
+    right never moves.  Otherwise `NormalFormError` is raised.
+
+    Once the pushes have moved, every run of distortions collapses to its
+    pointwise composition, whatever their continuity.  `apply_distortion(d,
+    F)` is the right limit (d o F)+.  Fix x: on some (x, x + e) the cdf F is
+    affine, so it is constant there or rises continuously from F(x).  d1 is
+    affine just above F(x), so h = d1 o F is continuous on (x, x + e) and
+    (d1 o F)+ = h there.  Hence (d2 o (d1 o F)+)+(x) and ((d2 o d1) o F)+(x)
+    are both the limit of d2(h(y)) as y falls to x, for every d1 and d2.
     """
-    d, u = _collapse(word.steps)
-    return RduForm(Distortion(d), Utility(u))
+    pair = _collapse(word.steps)
+    if pair is None:
+        raise NormalFormError("a pushforward cannot move past the distortions to its right")
+    return RduForm(Distortion(pair[0]), Utility(pair[1]))
 
 
 # -- conjugation --------------------------------------------------------------

@@ -203,6 +203,8 @@ JUMP_WORDS = textwrap.dedent(
     fn u_right = pw { reals(1, 1); points (1/2 : 1/2, 3/2, 3/2); }
     word left_jump = [ push(u_left), distort(d_rc) ]
     word right_jump = [ push(u_right), distort(d_rc) ]
+    fn d_mid = pw { domain [0,1]; points (0 : 0, 0, 0) (1/2 : 1/4, 1/4, 3/4) (1 : 1, 1, 1); }
+    word run = [ distort(d_rc), distort(d_mid) ]
     """
 )
 
@@ -221,6 +223,12 @@ def test_normal_form_command_on_pushes_with_jumps(capsys, tmp_path):
     code, out, err = run(capsys, ["normal-form", "right_jump", "--spec", str(path)])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    # A run of distortions collapses even when the inner one is not right-continuous.
+    code, out, err = run(capsys, ["normal-form", "run", "--spec", str(path)])
+    assert (code, err) == (0, "")
+    d_line = out.strip().splitlines()[0]
+    want = pwfn.compose(env.fns["d_rc"], env.fns["d_mid"])
+    assert parse_pw(Parser(tokenize(d_line.removeprefix("d = ")))) == want
 
 def test_fuzz_commands(capsys):
     for law in ["commute", "pairing", "quantile", "normal-form", "collapse"]:

@@ -24,8 +24,10 @@ from dtlab.dist import (
     unif,
     uniform,
 )
+from dtlab import pwfn
 from dtlab.errors import LevelError, ParseError, SpecError
 from dtlab.lab import canonical_corpus, gen_cdf
+from dtlab.pwfn import Breakpoint, bp
 
 
 def grid(lo, hi, den):
@@ -72,6 +74,24 @@ def test_make_rejects_bad_specs():
         make([atom(0, Q(1, 2)), unif(1, 1, Q(1, 2))])  # empty interval
     with pytest.raises(SpecError):
         make([atom(0, Q(3, 2)), atom(1, Q(-1, 2))])  # negative weight
+
+
+HALF = Q(1, 2)
+
+
+@pytest.mark.parametrize("fn, message", [
+    (pwfn.identity(0, 1), "flat tails"),  # bounded
+    (pwfn.on_reals([bp(0, 0), bp(1, 1)], 1, 0), "flat tails"),
+    (pwfn.on_reals([bp(0, 0), bp(1, 1)], 0, 1), "flat tails"),
+    (pwfn.on_reals([bp(0, HALF), bp(1, 1)], 0, 0), "from 0 to 1"),
+    (pwfn.on_reals([bp(0, 0), bp(1, HALF)], 0, 0), "from 0 to 1"),
+    (pwfn.on_reals([bp(0, 0), bp(1, 2)], 0, 0), "from 0 to 1"),
+    (pwfn.on_reals([Breakpoint(0, 0, 0, 1)], 0, 0), "right-continuous"),
+], ids=["bounded", "lower-tail", "upper-tail", "starts-at-1/2", "ends-at-1/2", "ends-at-2",
+        "left-continuous"])
+def test_cdf_rejects_a_function_that_is_not_a_cdf(fn, message):
+    with pytest.raises(SpecError, match=message):
+        Cdf(fn)
 
 
 def test_make_keeps_exact_and_int_fields_exact():

@@ -12,6 +12,7 @@ from dtlab import pwfn
 from dtlab.dist import dirac, equals, right_quantile, uniform
 from dtlab.errors import ClassError, ExtractionError
 from dtlab.lab import (
+    Corpus,
     Pass,
     Witness,
     bernoulli_tail_sequence,
@@ -23,6 +24,7 @@ from dtlab.lab import (
     extract_utility,
     first_fn_difference,
     fuzz_collapse_nonrc,
+    fuzz_normal_form,
     gen,
     gen_cdf,
     gen_distortion,
@@ -342,6 +344,25 @@ def test_monotone_check_witness_for_decreasing_transform():
     flip = lambda F: dirac(-mean(F))
     res = monotone_check(flip, CORPUS)
     assert isinstance(res, Witness)
+
+
+EMPTY = Corpus(())
+ZERO_INSTANCE_CASES = {
+    "commute": lambda: commute_check(distort_by(STEP), distort_by(STEP), EMPTY),
+    "monotone": lambda: monotone_check(distort_by(STEP), EMPTY),
+    "set-commute": lambda: set_commute_check(
+        RduForm(identity_distortion(), identity_utility()), "utilities", [], CORPUS
+    ),
+    "fuzz-normal-form": lambda: fuzz_normal_form(1, 0, EMPTY),
+    "lsc": lambda: lsc_check(distort_by(STEP), [], dirac(0), uniform(0, 1)),
+    "pass": lambda: Pass("commute", 0),
+}
+
+
+@pytest.mark.parametrize("case", ZERO_INSTANCE_CASES)
+def test_no_law_passes_on_zero_instances(case):
+    with pytest.raises(ValueError):
+        ZERO_INSTANCE_CASES[case]()
 
 
 def test_lsc_check_median_violated_on_drifting_coins():
