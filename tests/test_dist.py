@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtlab import pwfn
 from dtlab.dist import (
     Atom,
     Cdf,
@@ -24,7 +25,6 @@ from dtlab.dist import (
     unif,
     uniform,
 )
-from dtlab import pwfn
 from dtlab.errors import LevelError, ParseError, SpecError
 from dtlab.lab import canonical_corpus, gen_cdf
 from dtlab.pwfn import Breakpoint, bp
