@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle
 from math import ceil, floor
 from operator import ne
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import pwfn
 from .dist import (
@@ -44,7 +45,6 @@ from .transform import (
     _collapse,
     apply_distortion,
     apply_utility,
-    apply_word,
     compose_distortions,
     normal_form,
 )
@@ -129,6 +129,19 @@ class Witness:
 
 
 CheckResult = Pass | Witness
+
+
+def _tally(law: str, results: Iterable[CheckResult | None]) -> CheckResult:
+    """The one decision of a law: the first Witness among the results ends
+    it, read lazily so that nothing past it runs; otherwise the law passes
+    with the instances counted, a Pass as its count and None as one instance
+    that held.  A law that decided no instance raises ValueError (see Pass)."""
+    total = 0
+    for res in results:
+        if isinstance(res, Witness):
+            return res
+        total += 1 if res is None else res.count
+    return Pass(law, total)
 
 
 @dataclass(frozen=True)
@@ -234,6 +247,8 @@ def set_commute_check(
         """(lhs, rhs, lhs pair, rhs pair) of each orientation of the probe;
         partner' is built only once the first orientation has passed, from
         the g-component probe o g of the collapsed word (probe, *T)."""
+        if family == "distortions" and not probe.cls.right_continuous:
+            raise ClassError("distortion probes must be right-continuous")
         partner = wrap(pwfn.compose(g.fn, pwfn.compose(probe.fn, inv)))
         yield (lambda F: apply(partner, form_once(F)), lambda F: form(apply(probe, F)),
                _collapse((step(partner), *T)), _collapse((*T, step(probe))))
@@ -242,32 +257,15 @@ def set_commute_check(
         yield (lambda F: form(apply(partner_r, F)), lambda F: apply(probe, form_once(F)),
                _collapse((*T, step(partner_r))), right)
 
-    total = 0
-    for probe in probes:
-        if family == "distortions" and not probe.cls.right_continuous:
-            raise ClassError("distortion probes must be right-continuous")
-        for lhs, rhs, left, right in orientations(probe):
-            res = _composed_equal(lhs, rhs, left, right, corpus, law)
-            if isinstance(res, Witness):
-                return res
-            total += res.count
-    return Pass(law, total)
+    return _tally(law, (_composed_equal(*o, corpus, law) for p in probes for o in orientations(p)))
 
 
 def monotone_check(t: Transform, corpus: Corpus, law: str = "monotone") -> CheckResult:
     """Dominance preservation over every ordered corpus pair."""
-    count = 0
     images = {name: t(F) for name, F in corpus}
-    for name_f, F in corpus:
-        for name_g, G in corpus:
-            if not leq_st(F, G):
-                continue
-            fail = first_dominance_failure(images[name_f], images[name_g])
-            if fail is not None:
-                x, a, b = fail
-                return Witness(law, f"{name_f}<=st:{name_g}", F, x, a, b)
-            count += 1
-    return Pass(law, count)
+    fails = ((f"{nf}<=st:{ng}", F, first_dominance_failure(images[nf], images[ng]))
+             for nf, F in corpus for ng, G in corpus if leq_st(F, G))
+    return _tally(law, (None if x is None else Witness(law, name, F, *x) for name, F, x in fails))
 
 
 def lsc_check(
@@ -380,13 +378,7 @@ def commute_check_like_roundtrip(
     The one corpus loop behind every two-sided law: t is evaluated before
     candidate on each entry, and the first difference becomes the witness.
     """
-    count = 0
-    for name, F in corpus:
-        witness = _differ(law, name, F, t(F), candidate(F))
-        if witness is not None:
-            return witness
-        count += 1
-    return Pass(law, count)
+    return _tally(law, (_differ(law, name, F, t(F), candidate(F)) for name, F in corpus))
 
 
 def _differ(law: str, name: str, F: Cdf, lhs: Cdf, rhs: Cdf) -> Witness | None:
@@ -588,12 +580,7 @@ def pairing_formula_value(d: Distortion, u: Utility, F: Cdf, x) -> Fraction:
 def _fuzz(law: str, iters: int, corpus: Corpus, step) -> CheckResult:
     """The seeded fuzz loop: iteration i runs ``step(i, name, F)`` on corpus
     entry i mod |corpus|; the first witness it returns ends the run."""
-    entries = corpus.entries
-    for i in range(iters):
-        witness = step(i, *entries[i % len(entries)])
-        if witness is not None:
-            return witness
-    return Pass(law, iters)
+    return _tally(law, (step(i, name, F) for i, (name, F) in zip(range(iters), cycle(corpus))))
 
 
 def fuzz_distort_push_commute(
@@ -667,15 +654,13 @@ def fuzz_set_commute(
         mults, kinds = (433, 439, 443), ("df", "uf-strict", "uf")
     else:
         mults, kinds = (449, 457, 461), ("df-strict", "uf-left", "df-rc")
-    total = 0
-    for i in range(iters):
+
+    def check(i):
         form = RduForm(gen(seed * mults[0] + i, kinds[0]), gen(seed * mults[1] + i, kinds[1]))
         probes = [gen(seed * mults[2] + i * probes_per + j, kinds[2]) for j in range(probes_per)]
-        res = set_commute_check(form, family, probes, corpus)
-        if isinstance(res, Witness):
-            return res
-        total += res.count
-    return Pass(f"set-commute-{family}", total)
+        return set_commute_check(form, family, probes, corpus)
+
+    return _tally(f"set-commute-{family}", map(check, range(iters)))
 
 
 def gen_admissible_word(seed: int, max_len: int = 6) -> TransformWord:
@@ -699,16 +684,12 @@ def fuzz_normal_form(
     iters: int, seed: int, corpus: Corpus, max_len: int = 6
 ) -> CheckResult:
     """Collapsing an admissible word must match word-wise evaluation."""
-    count = 0
-    for i in range(iters):
+
+    def check(i):
         word = gen_admissible_word(seed * 1013 + i, max_len)
-        res = commute_check_like_roundtrip(
-            lambda F: apply_word(word, F), normal_form(word), corpus, "word-normal-form"
-        )
-        if isinstance(res, Witness):
-            return res
-        count += res.count
-    return Pass("word-normal-form", count)
+        return commute_check_like_roundtrip(word, normal_form(word), corpus, "word-normal-form")
+
+    return _tally("word-normal-form", map(check, range(iters)))
 
 
 def fuzz_collapse_nonrc(iters: int, seed: int, corpus: Corpus) -> CheckResult:

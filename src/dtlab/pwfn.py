@@ -166,8 +166,8 @@ class PiecewiseMonotone:
         first, last = self.breakpoints[0], self.breakpoints[-1]
         if self.is_bounded:
             return first.at, last.at
-        lo = NEG_INF if self.tails[0] > 0 else first.left
-        hi = POS_INF if self.tails[1] > 0 else last.right
+        lo = NEG_INF if self.tails[0]._numerator > 0 else first.left
+        hi = POS_INF if self.tails[1]._numerator > 0 else last.right
         return lo, hi
 
     # -- evaluation -------------------------------------------------------
@@ -422,10 +422,10 @@ def compose(
         raise DomainError("range of the inner function leaves the outer domain")
     gbps, gslopes = g.breakpoints, g._slopes
     n = len(gbps)
-    s_lo, s_hi = (0, 0) if g.is_bounded else g.tails
+    s_lo, s_hi = (_ZERO, _ZERO) if g.is_bounded else g.tails
     out: list[Breakpoint] = []
     j = 0  # the abscissas of f before j are placed or passed
-    flat_r = s_lo == 0  # whether g is flat on the piece before the next breakpoint
+    flat_r = not s_lo._numerator  # whether g is flat on the piece before the next breakpoint
     for i, b in enumerate(gbps):
         flat_l = flat_r
         if not flat_l and i == 0:
@@ -433,19 +433,19 @@ def compose(
         elif not flat_l:
             a = gbps[i - 1]
             j = _preimages(out, f, j, a.x, a.right, gslopes[i - 1], a.right, b.left, right_limits)
-        flat_r = not gslopes[i]._numerator if i < n - 1 else s_hi == 0
+        flat_r = not (gslopes[i] if i < n - 1 else s_hi)._numerator
         j, fl = _triple(f, j, b.left)
         j, fa = (j, fl) if _eq(b.at, b.left) else _triple(f, j, b.at)
         j, fr = (j, fa) if _eq(b.right, b.at) else _triple(f, j, b.right)
         right = fr[1] if flat_r else fr[2]
         at = right if right_limits else fa[1]
         out.append(Breakpoint(b.x, fl[1] if flat_l else fl[0], at, right))
-    if s_hi > 0:
+    if s_hi._numerator > 0:
         b = gbps[-1]
         _preimages(out, f, j, b.x, b.right, s_hi, b.right, POS_INF, right_limits)
 
     tails = None if g.is_bounded else tuple(
-        f.tails[k] * s if s > 0 else _ZERO for k, s in enumerate(g.tails)
+        f.tails[k] * s if s._numerator > 0 else _ZERO for k, s in enumerate(g.tails)
     )
     return _canonical(tuple(out), tails)
 

@@ -184,15 +184,16 @@ def compose_distortions(d2: Distortion, d1: Distortion) -> Distortion:
 def _collapse(steps) -> tuple[PiecewiseMonotone, PiecewiseMonotone] | None:
     """The raw (d, u) pair of a word's normal form, or None when some push
     cannot move past the distortions to its right; see `normal_form`."""
-    seen, rc = False, True  # a distortion lies to the right; all of those are rc
+    right, rc = [], True  # the distortions to the right, nearest last; whether all are rc
     for step in reversed(steps):
         if isinstance(step, Distort):
-            seen, rc = True, rc and step.d.cls.right_continuous
-        elif seen and not (step.u.cls.continuous or step.u.cls.left_continuous and rc):
+            right.append(step.d.fn)
+            rc = rc and step.d.cls.right_continuous
+        elif right and not (step.u.cls.continuous or step.u.cls.left_continuous and (
+                rc or classify(reduce(pwfn.compose, reversed(right))).right_continuous)):
             return None
-    ds = [s.d.fn for s in steps if isinstance(s, Distort)]
     us = [s.u.fn for s in steps if isinstance(s, Push)]
-    return (reduce(pwfn.compose, ds) if ds else pwfn.identity(0, 1),
+    return (reduce(pwfn.compose, right[::-1]) if right else pwfn.identity(0, 1),
             reduce(pwfn.compose, us) if us else pwfn.identity())
 
 
@@ -201,8 +202,9 @@ def normal_form(word: TransformWord) -> RduForm:
 
     Admissible means that each pushforward can move right past the
     distortions to its right: u is continuous (so it commutes with every
-    distortion), or u is left-continuous and those distortions are all
-    right-continuous (the pairing law).  A push with no distortion to its
+    distortion), or u is left-continuous and the composition of those
+    distortions is right-continuous (the pairing law; by the collapse below
+    they act as that one distortion).  A push with no distortion to its
     right never moves.  Otherwise `NormalFormError` is raised.
 
     Once the pushes have moved, every run of distortions collapses to its

@@ -85,6 +85,7 @@ def _cases():
         "commute-words": ["commute", "w1", "empty"],
         "setcommute-utilities": ["setcommute", "utilities", "d_bend", "u_lin", "u_jump"],
         "setcommute-distortions": ["setcommute", "distortions", "d_bend", "u_lin", "d_bend"],
+        "setcommute-witness": ["setcommute", "utilities", "step_half", "u_lin", "u_lin", "u_jump"],
         "setcommute-not-rc": ["setcommute", "distortions", "d_bend", "u_lin", "step_half"],
         "setcommute-not-strict": ["setcommute", "utilities", "d_bend", "u_jump", "u_lin"],
         "monotone": ["monotone", "distort(step_half)"],

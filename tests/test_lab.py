@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dtlab import pwfn
+from dtlab import lab, pwfn
 from dtlab.dist import dirac, equals, right_quantile, uniform
 from dtlab.errors import ClassError, ExtractionError
 from dtlab.lab import (
@@ -24,7 +24,10 @@ from dtlab.lab import (
     extract_utility,
     first_fn_difference,
     fuzz_collapse_nonrc,
+    fuzz_distort_push_commute,
     fuzz_normal_form,
+    fuzz_quantile_identity,
+    fuzz_rc_left_pairing,
     gen,
     gen_cdf,
     gen_distortion,
@@ -39,6 +42,7 @@ from dtlab.transform import (
     Distortion,
     RduForm,
     Utility,
+    _collapse,
     affine_utility,
     apply_distortion,
     apply_utility,
@@ -114,6 +118,20 @@ def test_set_commute_with_distortions_passes():
     probes = [Distortion(pwfn.from_points([(0, 0), (HALF, 1), (1, 1)])), identity_distortion()]
     res = set_commute_check(form, "distortions", probes, CORPUS)
     assert isinstance(res, Pass)
+
+
+def test_set_commute_stops_at_the_first_witness(monkeypatch):
+    # The witness is found in the first orientation of the first probe, so
+    # partner' is never built (only that orientation's two words collapse),
+    # and the second probe, which is not right-continuous and would raise
+    # ClassError, is never reached.
+    words = []
+    monkeypatch.setattr(lab, "_collapse", lambda steps: words.append(steps) or _collapse(steps))
+    form = RduForm(gen_distortion(1, "df-strict"), gen_utility(1, "uf-any"))
+    res = set_commute_check(form, "distortions", [gen_distortion(1, "df-rc"), STEP], CORPUS)
+    want = "WITNESS set-commute-distortions F=uniform(-1,1) x=-4 lhs=29/192 rhs=5/63"
+    assert res.report() == want
+    assert len(words) == 2
 
 
 def test_set_commute_identity_form_passes():
@@ -344,6 +362,7 @@ def test_monotone_check_witness_for_decreasing_transform():
     flip = lambda F: dirac(-mean(F))
     res = monotone_check(flip, CORPUS)
     assert isinstance(res, Witness)
+    assert res.report() == "WITNESS monotone F=dirac(-2)<=st:dirac(0) x=0 lhs=0 rhs=1"
 
 
 EMPTY = Corpus(())
@@ -354,6 +373,10 @@ ZERO_INSTANCE_CASES = {
         RduForm(identity_distortion(), identity_utility()), "utilities", [], CORPUS
     ),
     "fuzz-normal-form": lambda: fuzz_normal_form(1, 0, EMPTY),
+    "fuzz-commute": lambda: fuzz_distort_push_commute(1, 0, EMPTY),
+    "fuzz-pairing": lambda: fuzz_rc_left_pairing(1, 0, EMPTY),
+    "fuzz-quantile": lambda: fuzz_quantile_identity(1, 0, EMPTY),
+    "fuzz-collapse": lambda: fuzz_collapse_nonrc(1, 0, EMPTY),
     "lsc": lambda: lsc_check(distort_by(STEP), [], dirac(0), uniform(0, 1)),
     "pass": lambda: Pass("commute", 0),
 }

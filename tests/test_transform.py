@@ -359,6 +359,19 @@ def test_normal_form_rejects_discontinuous_push():
         ))
 
 
+def test_normal_form_pushes_a_left_continuous_jump_past_a_right_continuous_run():
+    # d2 jumps at 1/2 from 1/4 (taking 1/4) to 3/4, so it is not right-continuous;
+    # d1 is flat at 1/2 on [1/4, 3/4], so d1 o d2 is continuous and the push may pass.
+    d1 = Distortion(pwfn.from_points([(0, 0), (Q(1, 4), HALF), (Q(3, 4), HALF), (1, 1)]))
+    d2 = Distortion(pwfn.bounded([bp(0, 0), Breakpoint(HALF, Q(1, 4), Q(1, 4), Q(3, 4)), bp(1, 1)]))
+    assert not d2.cls.right_continuous
+    word = TransformWord((Push(JUMP_UTILITY), Distort(d1), Distort(d2)))
+    form = normal_form(word)
+    assert form == RduForm(compose_distortions(d1, d2), JUMP_UTILITY)
+    for F in [F for _, F in CORPUS] + [gen_cdf(seed) for seed in range(20)]:
+        assert equals(apply_word(word, F), form(F))
+
+
 def _jump_at_half(at):
     """A utility with one jump at 1/2, from 1/2 to 3/2, taking the value `at` there."""
     return Utility(pwfn.on_reals([Breakpoint(HALF, HALF, at, Q(3, 2))], 1, 1))
