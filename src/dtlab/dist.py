@@ -14,7 +14,7 @@ from operator import le, lt, ne
 from typing import Iterable
 
 from .errors import LevelError, SpecError
-from .pwfn import Breakpoint, PiecewiseMonotone, _canonical, _eq, _first_where, _sup_walk, rat
+from .pwfn import Breakpoint, PiecewiseMonotone, _canonical, _eq, _first_where, _lt, _sup_walk, rat
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,20 @@ def right_quantile(F: Cdf, t) -> Fraction:
 
 
 def merged_abscissas(F: Cdf, G: Cdf) -> list[Fraction]:
-    return sorted({b.x for b in F.fn.breakpoints} | {b.x for b in G.fn.breakpoints})
+    """The union of both cdfs' abscissas, ascending: one merge walk of the two
+    ascending `_xs` tuples on their integers."""
+    xs, ys = F.fn._xs, G.fn._xs
+    out, i, j = [], 0, 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        if _lt(y, x):
+            out.append(y)
+            j += 1
+        else:
+            out.append(x)
+            i += 1
+            j += _eq(x, y)  # an abscissa of both is kept once
+    return out + list(xs[i:]) + list(ys[j:])
 
 
 def leq_st(F: Cdf, G: Cdf) -> bool:

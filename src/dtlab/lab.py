@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
-from math import ceil, floor
+from math import lcm
 from operator import ne
 from typing import Iterable, Iterator, Sequence
 
@@ -418,11 +418,37 @@ def _rng(seed: int, kind: str, complexity: int) -> random.Random:
     return random.Random(f"{seed}|{kind}|{complexity}")
 
 
-def _rational(rng: random.Random, lo, hi, den: int = 8) -> Fraction:
-    lo, hi = rat(lo), rat(hi)
+def _draw(rng: random.Random, lo, hi, den: int) -> tuple[int, int]:
+    """One drawn rational n/q in [lo, hi] as its (n, q): q in 1..den, then n;
+    lo and hi are ints or Fractions, ceil and floor taken on their integers."""
     q = rng.randint(1, den)
-    n = rng.randint(ceil(lo * q), floor(hi * q))
-    return Fraction(n, q)
+    n = rng.randint(-(-lo.numerator * q // lo.denominator), hi.numerator * q // hi.denominator)
+    return n, q
+
+
+def _sorted_rationals(rng: random.Random, lo, hi, den: int, k: int) -> list[Fraction]:
+    """k rationals drawn by `_draw`, ascending: sorted on the exact integer
+    keys n·(L // q) = (n/q)·L for L = lcm(1, ..., den)."""
+    L = lcm(*range(1, den + 1))
+    keys = sorted(n * (L // q) for n, q in (_draw(rng, lo, hi, den) for _ in range(k)))
+    return [Fraction(m, L) for m in keys]
+
+
+def _below(r: float, a: int, b: int) -> bool:
+    """r < a/b, decided exactly on the float's integer ratio (float(0.6) < 3/5)."""
+    p, q = r.as_integer_ratio()
+    return p * b < a * q
+
+
+# Constant draw pools, ascending, so a sorted index sample is a sorted value sample.
+_GRID16 = tuple(Fraction(i, 16) for i in range(1, 16))
+_GRID48 = tuple(Fraction(i, 48) for i in range(0, 49))
+_INNER48 = _GRID48[1:48]
+_GRID4 = tuple(Fraction(i, 4) for i in range(-12, 13))
+_GRID8 = tuple(Fraction(i, 8) for i in range(-32, 33))
+_STRICT_TAILS = (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
+_TAILS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+_ORIGIN, _TOP = pwfn.bp(0, 0), pwfn.bp(1, 1)  # a distortion's ends
 
 
 def gen_cdf(seed: int, complexity: int = 3) -> Cdf:
@@ -433,49 +459,48 @@ def gen_cdf(seed: int, complexity: int = 3) -> Cdf:
     comps = []
     for w in weights:
         mass = Fraction(w, total)
-        if rng.random() < Fraction(1, 2):
-            comps.append(atom(_rational(rng, -3, 3, 4), mass))
+        if _below(rng.random(), 1, 2):
+            comps.append(atom(Fraction(*_draw(rng, -3, 3, 4)), mass))
         else:
-            a = _rational(rng, -3, 2, 4)
-            b = a + _rational(rng, Fraction(1, 4), 2, 4)
+            a = Fraction(*_draw(rng, -3, 2, 4))
+            b = a + Fraction(*_draw(rng, Fraction(1, 4), 2, 4))
             comps.append(unif(a, b, mass))
     return make(comps)
 
 
 def _sorted_sample(rng: random.Random, pool: Sequence[Fraction], k: int) -> list[Fraction]:
-    return sorted(rng.sample(list(pool), k))
+    """sorted(rng.sample(pool, k)) for an ascending pool, drawn and sorted as indices."""
+    return [pool[i] for i in sorted(rng.sample(range(len(pool)), k))]
 
 
 def gen_distortion(seed: int, kind: str = "df", complexity: int = 3) -> Distortion:
     rng = _rng(seed, kind, complexity)
-    grid16 = [Fraction(i, 16) for i in range(1, 16)]
-    k = min(rng.randint(0 if kind != "df-strict" else 1, max(1, complexity)), len(grid16))
-    xs = _sorted_sample(rng, grid16, k)
+    k = min(rng.randint(0 if kind != "df-strict" else 1, max(1, complexity)), len(_GRID16))
+    xs = _sorted_sample(rng, _GRID16, k)
     points = []
     if kind == "df-strict":
-        vals = _sorted_sample(rng, [Fraction(i, 48) for i in range(1, 48)], k)
-        points = [pwfn.bp(0, 0)] + [pwfn.bp(x, v) for x, v in zip(xs, vals)] + [pwfn.bp(1, 1)]
+        vals = _sorted_sample(rng, _INNER48, k)
+        points = [_ORIGIN, *(pwfn.Breakpoint(x, v, v, v) for x, v in zip(xs, vals)), _TOP]
     elif kind == "df-rc":
-        jumpy = rng.random() < Fraction(3, 5)
+        jumpy = _below(rng.random(), 3, 5)
         if jumpy and k > 0:
-            ladder = _sorted_sample(rng, [Fraction(i, 48) for i in range(0, 49)], 2 * k + 1)
+            ladder = _sorted_sample(rng, _GRID48, 2 * k + 1)
             lefts = ladder[0::2][:k]
             ats = ladder[1::2][:k]
             l_end = ladder[2 * k]
-            points = [pwfn.bp(0, 0)]
-            points += [pwfn.bp(x, l, a, a) for x, l, a in zip(xs, lefts, ats)]
+            points = [_ORIGIN, *(pwfn.Breakpoint(x, l, a, a) for x, l, a in zip(xs, lefts, ats))]
             points += [pwfn.bp(1, l_end, 1, 1)]
         else:
-            vals = sorted(_rational(rng, 0, 1, 12) for _ in range(k))
-            points = [pwfn.bp(0, 0)] + [pwfn.bp(x, v) for x, v in zip(xs, vals)] + [pwfn.bp(1, 1)]
+            vals = _sorted_rationals(rng, 0, 1, 12, k)
+            points = [_ORIGIN, *(pwfn.Breakpoint(x, v, v, v) for x, v in zip(xs, vals)), _TOP]
     else:  # any distortion, jumps allowed anywhere
-        jumpy = rng.random() < Fraction(11, 20)
+        jumpy = _below(rng.random(), 11, 20)
         if jumpy and k == 0:
             k = 1
-            xs = _sorted_sample(rng, grid16, 1)
+            xs = _sorted_sample(rng, _GRID16, 1)
         if jumpy:
             m = 3 * k + 2
-            ladder = _sorted_sample(rng, [Fraction(i, 48) for i in range(0, 49)], m)
+            ladder = _sorted_sample(rng, _GRID48, m)
             r0 = ladder[0]
             l_end = ladder[m - 1]
             points = [pwfn.Breakpoint(Fraction(0), Fraction(0), Fraction(0), r0)]
@@ -484,8 +509,8 @@ def gen_distortion(seed: int, kind: str = "df", complexity: int = 3) -> Distorti
                 points.append(pwfn.Breakpoint(x, l, a, r))
             points.append(pwfn.Breakpoint(Fraction(1), l_end, Fraction(1), Fraction(1)))
         else:
-            vals = sorted(_rational(rng, 0, 1, 12) for _ in range(k))
-            points = [pwfn.bp(0, 0)] + [pwfn.bp(x, v) for x, v in zip(xs, vals)] + [pwfn.bp(1, 1)]
+            vals = _sorted_rationals(rng, 0, 1, 12, k)
+            points = [_ORIGIN, *(pwfn.Breakpoint(x, v, v, v) for x, v in zip(xs, vals)), _TOP]
     d = Distortion(pwfn.bounded(points))
     _certify_distortion(d, kind)
     return d
@@ -501,26 +526,25 @@ def _certify_distortion(d: Distortion, kind: str) -> None:
 
 def gen_utility(seed: int, kind: str = "uf", complexity: int = 3) -> Utility:
     rng = _rng(seed, kind, complexity)
-    grid = [Fraction(i, 4) for i in range(-12, 13)]
-    k = min(rng.randint(1, max(1, complexity)), len(grid))
-    xs = _sorted_sample(rng, grid, k)
+    k = min(rng.randint(1, max(1, complexity)), len(_GRID4))
+    xs = _sorted_sample(rng, _GRID4, k)
     if kind == "uf-strict":
-        vals = _sorted_sample(rng, [Fraction(i, 8) for i in range(-32, 33)], k)
-        tails = (rng.choice([Fraction(1, 2), 1, 2, 3]), rng.choice([Fraction(1, 2), 1, 2, 3]))
-        points = [pwfn.bp(x, v) for x, v in zip(xs, vals)]
+        vals = _sorted_sample(rng, _GRID8, k)
+        tails = (rng.choice(_STRICT_TAILS), rng.choice(_STRICT_TAILS))
+        points = [pwfn.Breakpoint(x, v, v, v) for x, v in zip(xs, vals)]
     elif kind in ("uf-left", "uf-any"):
         w = 2 if kind == "uf-left" else 3  # values drawn per jump
-        ladder = sorted(_rational(rng, -4, 4, 8) for _ in range(w * k))
+        ladder = _sorted_rationals(rng, -4, 4, 8, w * k)
         points = []
         for i, x in enumerate(xs):
             l, r = ladder[w * i], ladder[w * i + w - 1]
             at = l if w == 2 else rng.choice(ladder[w * i : w * i + w])
             points.append(pwfn.Breakpoint(x, l, at, r))
-        tails = (rng.choice([Fraction(0), Fraction(1, 2), 1, 2]), rng.choice([Fraction(0), Fraction(1, 2), 1, 2]))
+        tails = (rng.choice(_TAILS), rng.choice(_TAILS))
     else:  # continuous utility; flats allowed
-        ladder = sorted(_rational(rng, -4, 4, 8) for _ in range(k))
-        points = [pwfn.bp(x, v) for x, v in zip(xs, ladder)]
-        tails = (rng.choice([Fraction(0), Fraction(1, 2), 1, 2]), rng.choice([Fraction(0), Fraction(1, 2), 1, 2]))
+        ladder = _sorted_rationals(rng, -4, 4, 8, k)
+        points = [pwfn.Breakpoint(x, v, v, v) for x, v in zip(xs, ladder)]
+        tails = (rng.choice(_TAILS), rng.choice(_TAILS))
     u = Utility(pwfn.on_reals(points, *tails))
     _certify_utility(u, kind)
     return u
@@ -675,7 +699,7 @@ def gen_admissible_word(seed: int, max_len: int = 6) -> TransformWord:
         else:
             steps.append(Distort(gen_distortion(seed * 37 + j * 89 + 17, "df-rc")))
     first_d = next((k for k, s in enumerate(steps) if isinstance(s, Distort)), None)
-    if first_d is not None and rng.random() < Fraction(2, 5):
+    if first_d is not None and _below(rng.random(), 2, 5):
         steps[first_d] = Distort(gen_distortion(seed * 41 + 19, "df"))
     return TransformWord(tuple(steps))
 

@@ -139,7 +139,7 @@ class PiecewiseMonotone:
                 raise ValueError("endpoint limits must equal the endpoint values")
         else:
             lo, hi = map(rat, self.tails)
-            if lo < 0 or hi < 0:
+            if lo._numerator < 0 or hi._numerator < 0:
                 raise ValueError("tail slopes must be nonnegative")
             object.__setattr__(self, "tails", (lo, hi))
         _canonical(bps, self.tails, self)
@@ -328,19 +328,16 @@ def classify(f: PiecewiseMonotone) -> Classification:
     interval between the endpoint values otherwise.
     """
     bps = f.breakpoints
-    continuous = all(b.left == b.at == b.right for b in bps)
-    left_continuous = all(b.left == b.at for b in bps)
-    right_continuous = all(b.at == b.right for b in bps)
-    strictly = all(a.right < c.left for a, c in zip(bps, bps[1:]))
-    if not f.is_bounded:
-        strictly = strictly and f.tails[0] > 0 and f.tails[1] > 0
-    surjective = continuous and (f.is_bounded or (f.tails[0] > 0 and f.tails[1] > 0))
+    left_continuous = all(_eq(b.left, b.at) for b in bps)
+    right_continuous = all(_eq(b.at, b.right) for b in bps)
+    continuous = left_continuous and right_continuous
+    tails_rise = f.is_bounded or (f.tails[0]._numerator > 0 and f.tails[1]._numerator > 0)
     return Classification(
-        strictly_increasing=strictly,
+        strictly_increasing=tails_rise and all(_lt(a.right, c.left) for a, c in zip(bps, bps[1:])),
         continuous=continuous,
         left_continuous=left_continuous,
         right_continuous=right_continuous,
-        surjective=surjective,
+        surjective=continuous and tails_rise,
     )
 
 

@@ -32,9 +32,11 @@ class Distortion:
 
     def __post_init__(self):
         f = self.fn
-        if not f.is_bounded or f.lo != 0 or f.hi != 1:
+        first, last = f.breakpoints[0], f.breakpoints[-1]
+        # 0 and 1 read on the normalised integers: p/q == 1 exactly when p == q
+        if not f.is_bounded or first.x._numerator != 0 or last.x._numerator != last.x._denominator:
             raise ClassError("a distortion is defined on [0, 1]")
-        if f.breakpoints[0].at != 0 or f.breakpoints[-1].at != 1:
+        if first.at._numerator != 0 or last.at._numerator != last.at._denominator:
             raise ClassError("a distortion fixes 0 and 1")
         object.__setattr__(self, "cls", classify(f))
 

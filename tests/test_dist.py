@@ -21,6 +21,7 @@ from dtlab.dist import (
     leq_st,
     make,
     mean,
+    merged_abscissas,
     right_quantile,
     unif,
     uniform,
@@ -315,6 +316,17 @@ def test_mean_matches_cdf_integral_oracle_generated(seed):
 def test_equals_same_construction():
     assert equals(dirac(0), make([atom(0, 1)]))
     assert not equals(bernoulli(Q(1, 2)), uniform(0, 1))
+
+
+def test_merged_abscissas_is_the_sorted_union():
+    cdfs = [gen_cdf(seed, c) for seed in range(20) for c in (1, 4, 12)]
+    pairs = list(zip(cdfs, cdfs[1:])) + [(F, F) for F in cdfs[:6]]
+    pairs += [(gen_cdf(3, 4), gen_cdf(3, 4))]  # equal values, distinct objects
+    pairs += [(uniform(0, 1), uniform(2, 3)), (uniform(2, 3), uniform(0, 1))]  # disjoint
+    pairs += [(dirac(0), dirac(0)), (dirac(0), dirac(1)), (dirac(1), bernoulli(Q(1, 2)))]
+    for F, G in pairs:
+        union = sorted({b.x for b in F.fn.breakpoints} | {b.x for b in G.fn.breakpoints})
+        assert merged_abscissas(F, G) == union
 
 
 def test_first_difference_none_iff_equal():

@@ -1,6 +1,8 @@
 """Tests for the verification lab: checkers, extraction, generators."""
 
+import hashlib
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -12,6 +14,7 @@ from dtlab import lab, pwfn
 from dtlab.dist import dirac, equals, right_quantile, uniform
 from dtlab.errors import ClassError, ExtractionError
 from dtlab.lab import (
+    KINDS,
     Corpus,
     Pass,
     Witness,
@@ -466,7 +469,7 @@ def test_extract_distortion_flags_pushforward_box():
 # -- generators -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["cdf", "df", "df-rc", "df-strict", "uf", "uf-left", "uf-strict"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_gen_deterministic_and_certified(kind):
     for seed in range(25):
         a = gen(seed, kind)
@@ -490,6 +493,80 @@ def test_gen_deterministic_and_certified(kind):
     if kind == "uf-strict":
         assert all(gen(s, kind).cls.surjective for s in range(25))
 
+
+
+# sha256 of the values below, as the generators drew them with Fraction
+# arithmetic: the integer draws must keep every rng call and every value.
+GENERATED_DIGEST = "1275951233f7ea42e2ac9f5dccef9edbf9c74aafbd57094fc5832af5c804e6db"
+
+
+def test_generated_values_are_pinned():
+    h = hashlib.sha256()
+    for seed in range(50):
+        for kind in KINDS:
+            for complexity in (1, 3, 12, 15):
+                h.update(repr(gen(seed, kind, complexity).fn).encode())
+        h.update(repr(lab.gen_admissible_word(seed)).encode())
+    assert h.hexdigest() == GENERATED_DIGEST
+
+
+@pytest.mark.parametrize(
+    "r, a, b, below",
+    [
+        (0.6, 3, 5, True),  # float(0.6) lies just below 3/5
+        (0.55, 11, 20, False),  # float(0.55) lies just above 11/20
+        (0.4, 2, 5, False),  # float(0.4) lies just above 2/5
+        (0.5, 1, 2, False),
+    ],
+)
+def test_generator_thresholds_are_exact(r, a, b, below):
+    assert Q(r) < Q(a, b) if below else Q(r) >= Q(a, b)
+    assert lab._below(r, a, b) is below
+
+
+
+class _StuckRandom(random.Random):
+    """random() always returns r; the integer draws still come from the seed."""
+
+    def __init__(self, seed, r):
+        super().__init__(seed)
+        self.r = r
+
+    def random(self):
+        return self.r
+
+    def getrandbits(self, k):  # keeps randint and sample on the seeded bits
+        return super().getrandbits(k)
+
+
+def test_df_rc_jumps_when_its_draw_is_float_three_fifths(monkeypatch):
+    # float(0.6) < 3/5, so the "jumpy" branch (drawn below 3/5) must be taken
+    monkeypatch.setattr(lab, "_rng", lambda *key: _StuckRandom(repr(key), 0.6))
+    assert any(not gen_distortion(seed, "df-rc").cls.continuous for seed in range(5))
+
+def _classify_by_operators(f):
+    """`pwfn.classify` as Fraction's ==, < and > define it: the reference."""
+    bps = f.breakpoints
+    continuous = all(b.left == b.at == b.right for b in bps)
+    rise = f.is_bounded or (f.tails[0] > 0 and f.tails[1] > 0)
+    return pwfn.Classification(
+        strictly_increasing=rise and all(a.right < c.left for a, c in zip(bps, bps[1:])),
+        continuous=continuous,
+        left_continuous=all(b.left == b.at for b in bps),
+        right_continuous=all(b.at == b.right for b in bps),
+        surjective=continuous and rise,
+    )
+
+
+def test_classify_matches_fraction_operators():
+    fns = [gen(seed, kind, c).fn for kind in KINDS[1:] for c in range(1, 16) for seed in range(4)]
+    fns += [
+        pwfn.step_open(Q(1, 2)),  # bounded, with a jump
+        pwfn.on_reals([bp(0, 0)], 0, 1),  # flat lower tail
+        pwfn.on_reals([bp(0, 0), bp(1, 1, 2)], 1, 0),  # jump, flat upper tail
+    ]
+    for f in fns:
+        assert pwfn.classify(f) == _classify_by_operators(f)
 
 MEMBERSHIP = {
     "df": lambda c: True,

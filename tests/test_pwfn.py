@@ -63,6 +63,7 @@ INVALID_CONSTRUCTIONS = (
     # a triple out of order
     "PiecewiseMonotone((Breakpoint(Q(0), Q(1), Q(0), Q(0)),), (Q(1), Q(1)))",
     "pwfn.on_reals([bp(0, 0)], -1, 1)",  # negative tail slope
+    "pwfn.on_reals([bp(0, 0)], 1, -1)",  # negative upper tail slope
     "pwfn.on_reals([bp(1, 0), bp(0, 1)], 1, 1)",  # abscissas out of order
     "pwfn.bounded([bp(0, 0), bp(1, 1, 1, 2)])",  # right limit beyond the domain's end
     "PiecewiseMonotone((), (Q(1), Q(1)))",  # no breakpoints

@@ -572,3 +572,15 @@ def test_distortion_class_guards():
         Distortion(pwfn.from_points([(0, Q(1, 4)), (1, 1)]))
     with pytest.raises(ClassError):
         Utility(pwfn.identity(0, 1))
+
+
+@pytest.mark.parametrize(
+    "fn, message",
+    [
+        (pwfn.from_points([(-1, 0), (1, 1)]), "defined on"),  # domain starts below 0
+        (pwfn.from_points([(0, 0), (1, Q(3, 4))]), "fixes 0 and 1"),  # d(1) = 3/4
+    ],
+)
+def test_distortion_checks_its_ends_exactly(fn, message):
+    with pytest.raises(ClassError, match=message):
+        Distortion(fn)
