@@ -494,7 +494,6 @@ def test_gen_deterministic_and_certified(kind):
         assert all(gen(s, kind).cls.surjective for s in range(25))
 
 
-
 # sha256 of the values below, as the generators drew them with Fraction
 # arithmetic: the integer draws must keep every rng call and every value.
 GENERATED_DIGEST = "1275951233f7ea42e2ac9f5dccef9edbf9c74aafbd57094fc5832af5c804e6db"
@@ -524,7 +523,6 @@ def test_generator_thresholds_are_exact(r, a, b, below):
     assert lab._below(r, a, b) is below
 
 
-
 class _StuckRandom(random.Random):
     """random() always returns r; the integer draws still come from the seed."""
 
@@ -543,6 +541,7 @@ def test_df_rc_jumps_when_its_draw_is_float_three_fifths(monkeypatch):
     # float(0.6) < 3/5, so the "jumpy" branch (drawn below 3/5) must be taken
     monkeypatch.setattr(lab, "_rng", lambda *key: _StuckRandom(repr(key), 0.6))
     assert any(not gen_distortion(seed, "df-rc").cls.continuous for seed in range(5))
+
 
 def _classify_by_operators(f):
     """`pwfn.classify` as Fraction's ==, < and > define it: the reference."""
@@ -567,6 +566,7 @@ def test_classify_matches_fraction_operators():
     ]
     for f in fns:
         assert pwfn.classify(f) == _classify_by_operators(f)
+
 
 MEMBERSHIP = {
     "df": lambda c: True,
