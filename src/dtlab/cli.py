@@ -551,7 +551,10 @@ def reproduce_example2(args) -> int:
     commute_ok = True
     for i in range(10):
         u = lab.gen_utility(args.seed * 577 + i, "uf")
-        res = commute_check(median_mass, lambda F, u=u: apply_utility(u, F), corpus)
+        res = lab.commute_check_like_roundtrip(
+            lambda F: median_mass(apply_utility(u, F)), lambda F: apply_utility(u, median_mass(F)),
+            corpus, "commute",
+        )
         if isinstance(res, Witness):
             commute_ok = False
             _say(args, res.report())
@@ -562,7 +565,7 @@ def reproduce_example2(args) -> int:
     print("lsc VIOLATED" if res.violated else "lsc HOLDS")
     d = Distortion(pwfn.step_open(half))
     same = lab.commute_check_like_roundtrip(
-        median_mass, lambda F: apply_distortion(d, F), corpus, "median-mass-is-distortion"
+        median_mass, TransformWord((Distort(d),)), corpus, "median-mass-is-distortion"
     )
     _say(args, f"equals distortion by the step above 1/2 on the corpus: {'MATCH' if isinstance(same, Pass) else 'MISMATCH'}")
     return _verdict(isinstance(mono, Pass) and commute_ok and res.violated and isinstance(same, Pass))
@@ -578,9 +581,7 @@ def reproduce_appendix_e(args) -> int:
     _say(args, f"distort-then-push at 1/2: expected 0 computed {format_rat(lhs)}")
     _say(args, f"push-then-distort at 1/2: expected 1 computed {format_rat(rhs)}")
     corpus = canonical_corpus()
-    res = commute_check(
-        lambda G: apply_distortion(d, G), lambda G: apply_utility(u, G), corpus
-    )
+    res = commute_check(TransformWord((Distort(d),)), TransformWord((Push(u),)), corpus)
     if isinstance(res, Witness):
         _say(args, res.report())
     return _verdict(lhs == 0 and rhs == 1 and isinstance(res, Witness) and res.x == half)
@@ -598,9 +599,7 @@ def reproduce_semigroup(args) -> int:
     form = normal_form(word)
     _say(args, f"normal form d = {serialize_fn(form.d.fn)}")
     _say(args, f"normal form u = {serialize_fn(form.u.fn)}")
-    res = lab.commute_check_like_roundtrip(
-        lambda F: apply_word(word, F), form, canonical_corpus(), "semigroup"
-    )
+    res = lab.commute_check_like_roundtrip(word, form, canonical_corpus(), "semigroup")
     if isinstance(res, Witness):
         _say(args, res.report())
     return _verdict(isinstance(res, Pass))

@@ -168,25 +168,27 @@ class Extraction:
 
 
 def commute_check(
-    t1: Transform, t2: Transform, corpus: Corpus, law: str = "commute"
+    w1: TransformWord, w2: TransformWord, corpus: Corpus, law: str = "commute"
 ) -> CheckResult:
-    """Compare both composition orders on every corpus element.
+    """w1 o w2 = w2 o w1, decided by `_composed_equal`.
 
-    The witness point is the smallest breakpoint of the merged
-    representation at which the two sides differ.
+    A witness is the smallest breakpoint of the merged representation at
+    which the two orders differ.
     """
-    return commute_check_like_roundtrip(lambda F: t1(t2(F)), lambda F: t2(t1(F)), corpus, law)
+    return _composed_equal(
+        TransformWord(w1.steps + w2.steps), TransformWord(w2.steps + w1.steps), corpus, law
+    )
 
 
 def _composed_equal(
-    lhs: Transform, rhs: Transform, left, right, corpus: Corpus, law: str
+    lhs: TransformWord, rhs: TransformWord, corpus: Corpus, law: str
 ) -> CheckResult:
-    """Decide lhs = rhs, whose words collapse to the (d, u) pairs left and right
-    (None where a word has no normal form).  Equal pairs are one transform on
-    every F, so the orientation is credited with |corpus| instances without
-    applying anything; otherwise the corpus decides, and its first difference
-    is the witness."""
-    if left is not None and left == right:
+    """Decide lhs = rhs.  Words with equal normal forms are one transform on
+    every F, so the law is credited with |corpus| instances without applying
+    anything; where a form is missing or the forms differ, the corpus
+    decides, and its first difference is the witness."""
+    left = _collapse(lhs.steps)
+    if left is not None and left == _collapse(rhs.steps):
         return Pass(law, len(corpus))
     return commute_check_like_roundtrip(lhs, rhs, corpus, law)
 
@@ -208,12 +210,11 @@ def set_commute_check(
     raising, so genuine failures surface as witnesses; a utility with a
     flat tail has no finite pseudo-inverse and still raises ClassError.
 
-    An orientation is first decided by the normal forms of its two words,
-    such as (partner, *T) and (*T, probe): equal forms are equal transforms
-    on every F, and the orientation is credited with |corpus| instances
-    without applying anything.  For the first orientation this is the
-    conjugation identity partner o g = g o probe.  Otherwise the corpus
-    decides, and its first difference is the witness.
+    Each orientation is a pair of words, such as (partner, *T) and
+    (*T, probe), decided by `_composed_equal`: by their normal forms where
+    they have equal ones, and on the corpus otherwise.  For the first
+    orientation the form test is the conjugation identity
+    partner o g = g o probe.
     """
     if family == "utilities":
         g = form.u
@@ -223,7 +224,7 @@ def set_commute_check(
         if not eligible and 0 in g.fn.tails:
             raise ClassError("a utility with a flat tail has no finite pseudo-inverse")
         inv = pwfn.strict_inverse(g.fn) if eligible else pwfn.pseudo_inverse(g.fn)
-        wrap, apply, step, k = Utility, apply_utility, Push, 1
+        wrap, step = Utility, Push
     elif family == "distortions":
         g = form.d
         if not (g.cls.strictly_increasing and g.cls.continuous):
@@ -231,31 +232,21 @@ def set_commute_check(
                 "set commutation with distortions needs a strictly increasing continuous one"
             )
         inv = pwfn.strict_inverse(g.fn)
-        wrap, apply, step, k = Distortion, apply_distortion, Distort, 0
+        wrap, step = Distortion, Distort
     else:
         raise ValueError(f"unknown family {family!r}")
     law = f"set-commute-{family}"
     T = form.as_word().steps
-    images: dict[int, Cdf] = {}  # form(F) of each corpus entry, shared by every probe
-
-    def form_once(F: Cdf) -> Cdf:
-        if id(F) not in images:
-            images[id(F)] = form(F)
-        return images[id(F)]
 
     def orientations(probe):
-        """(lhs, rhs, lhs pair, rhs pair) of each orientation of the probe;
-        partner' is built only once the first orientation has passed, from
-        the g-component probe o g of the collapsed word (probe, *T)."""
+        """The (lhs, rhs) words of each orientation of the probe; partner'
+        is built only once the first orientation has passed."""
         if family == "distortions" and not probe.cls.right_continuous:
             raise ClassError("distortion probes must be right-continuous")
         partner = wrap(pwfn.compose(g.fn, pwfn.compose(probe.fn, inv)))
-        yield (lambda F: apply(partner, form_once(F)), lambda F: form(apply(probe, F)),
-               _collapse((step(partner), *T)), _collapse((*T, step(probe))))
-        right = _collapse((step(probe), *T))
-        partner_r = wrap(pwfn.compose(inv, right[k] if right else pwfn.compose(probe.fn, g.fn)))
-        yield (lambda F: form(apply(partner_r, F)), lambda F: apply(probe, form_once(F)),
-               _collapse((*T, step(partner_r))), right)
+        yield TransformWord((step(partner), *T)), TransformWord((*T, step(probe)))
+        partner_r = wrap(pwfn.compose(inv, pwfn.compose(probe.fn, g.fn)))
+        yield TransformWord((*T, step(partner_r))), TransformWord((step(probe), *T))
 
     return _tally(law, (_composed_equal(*o, corpus, law) for p in probes for o in orientations(p)))
 
@@ -324,7 +315,7 @@ def extract_distortion(
         raise ExtractionError("probe values are not increasing")
     pts = [(Fraction(0), Fraction(0))] + samples + [(Fraction(1), Fraction(1))]
     recovered = Distortion(pwfn.from_points(pts))
-    return _round_trip(t, recovered, apply_distortion, samples, corpus, "extract-distortion")
+    return _round_trip(t, recovered, Distort, samples, corpus, "extract-distortion")
 
 
 def extract_utility(
@@ -356,15 +347,16 @@ def extract_utility(
         s_lo = (samples[1][1] - samples[0][1]) / (samples[1][0] - samples[0][0])
         s_hi = (samples[-1][1] - samples[-2][1]) / (samples[-1][0] - samples[-2][0])
         fn = pwfn.on_reals([pwfn.bp(x, y) for x, y in samples], s_lo, s_hi)
-    return _round_trip(t, Utility(fn), apply_utility, samples, corpus, "extract-utility")
+    return _round_trip(t, Utility(fn), Push, samples, corpus, "extract-utility")
 
 
 def _round_trip(
-    t: Transform, recovered: Distortion | Utility, apply, samples, corpus: Corpus | None, law: str
+    t: Transform, recovered: Distortion | Utility, step, samples, corpus: Corpus | None, law: str
 ) -> Extraction:
-    """Re-test a recovered generator against the box on the corpus."""
+    """Re-test a recovered generator, as the one-step word of `step`
+    (Distort or Push), against the box on the corpus."""
     res = commute_check_like_roundtrip(
-        t, lambda F: apply(recovered, F), corpus or canonical_corpus(), law
+        t, TransformWord((step(recovered),)), corpus or canonical_corpus(), law
     )
     ok = isinstance(res, Pass)
     return Extraction(recovered, tuple(samples), ok, None if ok else res)
@@ -563,7 +555,7 @@ def _certify_utility(u: Utility, kind: str) -> None:
 # -- function comparison --------------------------------------------------------
 
 
-def first_fn_difference(f: PiecewiseMonotone, g: PiecewiseMonotone):
+def first_fn_difference(f: pwfn.PiecewiseMonotone, g: pwfn.PiecewiseMonotone):
     """Locate a point where two piecewise functions differ: (x, f-val, g-val).
 
     None when the canonical forms are equal.  Probes the merged breakpoints,

@@ -1,9 +1,14 @@
-"""Every module of the library uses each name it imports.
+"""Every module of the library uses each name it imports, and every
+annotation it writes names something it can see.
 
-``__init__.py`` is exempt: it imports names to re-export them.
+``__init__.py`` is exempt from the first check: it imports names to
+re-export them.
 """
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
@@ -34,3 +39,16 @@ def test_module_uses_every_name_it_imports(path):
 def test_guard_flags_an_unused_import():
     source = "from fractions import Fraction\nimport math\nimport os.path\nx = math.pi\n"
     assert unused_imports(source) == ["line 1: Fraction", "line 3: os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_annotation_resolves(path):
+    module = importlib.import_module(f"dtlab.{path.stem}")
+    defined = [obj for _, obj in inspect.getmembers(module)
+               if (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__]
+    defined += [fn for cls in defined if inspect.isclass(cls)
+                for fn in vars(cls).values() if inspect.isfunction(fn)]
+    assert defined
+    for obj in defined:
+        typing.get_type_hints(obj)

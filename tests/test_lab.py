@@ -42,8 +42,11 @@ from dtlab.lab import (
 )
 from dtlab.pwfn import Breakpoint, bp
 from dtlab.transform import (
+    Distort,
     Distortion,
+    Push,
     RduForm,
+    TransformWord,
     Utility,
     _collapse,
     affine_utility,
@@ -60,11 +63,11 @@ CORPUS = canonical_corpus()
 
 
 def distort_by(d):
-    return lambda F: apply_distortion(d, F)
+    return TransformWord((Distort(d),))
 
 
 def push_by(u):
-    return lambda F: apply_utility(u, F)
+    return TransformWord((Push(u),))
 
 
 # -- corpus ------------------------------------------------------------------
@@ -100,9 +103,42 @@ def test_commute_check_witness_matches_known_counterexample():
 
 
 def test_commute_check_identity_words_pass():
-    ident = lambda F: F
+    ident = TransformWord(())
     res = commute_check(ident, ident, CORPUS)
     assert isinstance(res, Pass)
+
+
+def _one_step(seed, kind):
+    f = gen(seed, kind)
+    return TransformWord((Distort(f) if kind in lab.DISTORTION_KINDS else Push(f),))
+
+
+def test_commute_check_matches_the_corpus_only_reference(monkeypatch):
+    # commute_check decides by normal forms where both orders have equal
+    # ones; its result must be the one the corpus alone gives.
+    fallbacks = []
+
+    def counting(lhs, rhs, corpus, law):
+        fallbacks.append(law)
+        return commute_check_like_roundtrip(lhs, rhs, corpus, law)
+
+    monkeypatch.setattr(lab, "commute_check_like_roundtrip", counting)
+    kinds = lab.DISTORTION_KINDS + lab.UTILITY_KINDS
+    pairs = [(_one_step(300 + s, k1), _one_step(700 + s, k2))
+             for s in range(10) for k1 in kinds for k2 in kinds]
+    pairs += [(lab.gen_admissible_word(2 * s, 3), lab.gen_admissible_word(2 * s + 1, 3))
+              for s in range(40)]
+    decided = {"forms": 0, "witness": 0}
+    for w1, w2 in pairs:
+        before = len(fallbacks)
+        got = commute_check(w1, w2, CORPUS)
+        want = commute_check_like_roundtrip(
+            TransformWord(w1.steps + w2.steps), TransformWord(w2.steps + w1.steps), CORPUS,
+            "commute")
+        assert got == want, (w1, w2)
+        decided["forms"] += len(fallbacks) == before
+        decided["witness"] += isinstance(want, Witness)
+    assert decided["forms"] > 0 and decided["witness"] > 0, decided
 
 
 # -- set_commute_check -------------------------------------------------------
@@ -143,33 +179,32 @@ def test_set_commute_identity_form_passes():
     assert isinstance(res, Pass)
 
 
-def test_set_commute_evaluates_the_form_once_per_corpus_entry():
-    calls = []
+def test_set_commute_falls_back_to_the_corpus_only_without_equal_forms(monkeypatch):
+    fallbacks = []
 
-    class CountingForm(RduForm):
-        def __call__(self, F):
-            calls.append(F)
-            return super().__call__(F)
+    def counting(lhs, rhs, corpus, law):
+        fallbacks.append((lhs, rhs))
+        return commute_check_like_roundtrip(lhs, rhs, corpus, law)
 
+    monkeypatch.setattr(lab, "commute_check_like_roundtrip", counting)
     # Left-continuous probes with jumps, before a distortion that is not
     # right-continuous, keep both orientations off the form shortcut, so
-    # every instance is decided on the corpus.
-    form = CountingForm(gen_distortion(0, "df"), gen_utility(5, "uf-strict"))
+    # every orientation is decided on the corpus.
+    form = RduForm(gen_distortion(0, "df"), gen_utility(5, "uf-strict"))
     probes = [gen_utility(7, "uf-left"), gen_utility(8, "uf-left")]
     assert not any(p.cls.continuous for p in probes)
     assert not form.d.cls.right_continuous
     res = set_commute_check(form, "utilities", probes, CORPUS)
     assert isinstance(res, Pass) and res.count == 2 * 2 * len(CORPUS)
-    # form(F) once per entry, plus form(probe(F)) and form(partner(F)) per probe
-    assert len(calls) == len(CORPUS) + 2 * 2 * len(CORPUS)
+    assert len(fallbacks) == 2 * 2
 
     # Continuous probes: every orientation is decided by forms, none applied.
-    calls.clear()
-    form = CountingForm(gen_distortion(3, "df"), gen_utility(5, "uf-strict"))
+    fallbacks.clear()
+    form = RduForm(gen_distortion(3, "df"), gen_utility(5, "uf-strict"))
     probes = [gen_utility(7, "uf"), gen_utility(8, "uf")]
     res = set_commute_check(form, "utilities", probes, CORPUS)
     assert isinstance(res, Pass) and res.count == 2 * 2 * len(CORPUS)
-    assert calls == []
+    assert fallbacks == []
 
     # The inputs of fuzz_set_commute(family, 16, seed=1, ...): every orientation
     # is decided by forms, so the first orientation's component test, the
@@ -180,11 +215,11 @@ def test_set_commute_evaluates_the_form_once_per_corpus_entry():
     }
     for family, (mults, kinds) in fuzz_inputs.items():
         for i in range(16):
-            form = CountingForm(gen(mults[0] + i, kinds[0]), gen(mults[1] + i, kinds[1]))
+            form = RduForm(gen(mults[0] + i, kinds[0]), gen(mults[1] + i, kinds[1]))
             probes = [gen(mults[2] + i * 5 + j, kinds[2]) for j in range(5)]
             res = set_commute_check(form, family, probes, CORPUS)
             assert isinstance(res, Pass) and res.count == 2 * 5 * len(CORPUS), (family, i)
-            assert calls == [], (family, i)
+            assert fallbacks == [], (family, i)
 
 
 def test_set_commute_class_preconditions():
