@@ -32,9 +32,9 @@ def _one_iteration_per_family(corpus):
     # check off the form shortcut, so its words are applied to corpus entries.
     form = transform.RduForm(lab.gen_distortion(0, "df"), lab.gen_utility(5, "uf-strict"))
     probes = [lab.gen_utility(7, "uf-left")]
-    reports.append(lab.set_commute_check(form, "utilities", probes, corpus).report())
     # The normal-form round trip applies an RduForm to corpus entries.
-    return reports + [lab.fuzz_normal_form(1, 1, corpus).report()]
+    return reports + [lab.set_commute_check(form, "utilities", probes, corpus).report(),
+                      lab.fuzz_normal_form(1, 1, corpus).report()]
 
 
 def test_traced_set_commutation_matches_untraced():

@@ -109,8 +109,7 @@ def test_commute_check_identity_words_pass():
 
 
 def _one_step(seed, kind):
-    f = gen(seed, kind)
-    return TransformWord((Distort(f) if kind in lab.DISTORTION_KINDS else Push(f),))
+    return (distort_by if kind in lab.DISTORTION_KINDS else push_by)(gen(seed, kind))
 
 
 def test_commute_check_matches_the_corpus_only_reference(monkeypatch):
