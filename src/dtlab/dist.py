@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, lt, ne
 from typing import Iterable
 
 from .errors import LevelError, SpecError
-from .pwfn import Breakpoint, PiecewiseMonotone, _canonical, _eq, _first_where, _lt, _sup_walk, rat
+from .pwfn import (
+    Breakpoint, PiecewiseMonotone, _canonical, _eq, _first_where, _le, _lt, _ne, _sup_walk, rat,
+)
 
 
 @dataclass(frozen=True)
@@ -158,17 +159,17 @@ def left_quantile(F: Cdf, t) -> Fraction:
     Computed as sup{x : F(x) < t}, the same set boundary.
     """
     t = rat(t)
-    if not 0 < t <= 1:
+    if not 0 < t._numerator <= t._denominator:  # 0 < t <= 1 on t's integers
         raise LevelError(f"left quantile level must be in (0, 1], got {t}")
-    return _sup_walk(F.fn, t, lt)
+    return _sup_walk(F.fn, t, _lt)
 
 
 def right_quantile(F: Cdf, t) -> Fraction:
     """inf{x : F(x) > t} for t in [0, 1), computed as sup{x : F(x) <= t}."""
     t = rat(t)
-    if not 0 <= t < 1:
+    if not 0 <= t._numerator < t._denominator:  # 0 <= t < 1 on t's integers
         raise LevelError(f"right quantile level must be in [0, 1), got {t}")
-    return _sup_walk(F.fn, t, le)
+    return _sup_walk(F.fn, t, _le)
 
 
 # -- order, moments, equality ------------------------------------------------
@@ -197,12 +198,12 @@ def leq_st(F: Cdf, G: Cdf) -> bool:
     Decided exactly by comparing the two piecewise representations,
     including one-sided limits, on the merged breakpoint set.
     """
-    return _first_where(lt, F.fn, G.fn, merged_abscissas(F, G)) is None
+    return _first_where(_lt, F.fn, G.fn, merged_abscissas(F, G)) is None
 
 
 def first_dominance_failure(F: Cdf, G: Cdf):
     """Smallest merged breakpoint where F dips below G, or None."""
-    return _first_where(lt, F.fn, G.fn, merged_abscissas(F, G))
+    return _first_where(_lt, F.fn, G.fn, merged_abscissas(F, G))
 
 
 def equals(F: Cdf, G: Cdf) -> bool:
@@ -215,7 +216,7 @@ def first_difference(F: Cdf, G: Cdf):
 
     Returns None exactly when the cdfs are equal.
     """
-    return _first_where(ne, F.fn, G.fn, merged_abscissas(F, G))
+    return _first_where(_ne, F.fn, G.fn, merged_abscissas(F, G))
 
 
 def mean(F: Cdf) -> Fraction:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle
 from math import lcm
-from operator import ne
 from typing import Iterable, Iterator, Sequence
 
 from . import pwfn
@@ -33,7 +32,7 @@ from .dist import (
     uniform,
 )
 from .errors import ClassError, ExtractionError
-from .pwfn import NEG_INF, POS_INF, _first_where, format_rat, rat
+from .pwfn import NEG_INF, POS_INF, _first_where, _ne, format_rat, rat
 from .transform import (
     Distort,
     Distortion,
@@ -181,14 +180,15 @@ def commute_check(
 
 
 def _composed_equal(
-    lhs: TransformWord, rhs: TransformWord, corpus: Corpus, law: str
+    lhs: TransformWord, rhs: TransformWord, corpus: Corpus, law: str, right=None
 ) -> CheckResult:
     """Decide lhs = rhs.  Words with equal normal forms are one transform on
     every F, so the law is credited with |corpus| instances without applying
     anything; where a form is missing or the forms differ, the corpus
-    decides, and its first difference is the witness."""
+    decides, and its first difference is the witness.  ``right`` is rhs's
+    collapsed pair when the caller has it already."""
     left = _collapse(lhs.steps)
-    if left is not None and left == _collapse(rhs.steps):
+    if left is not None and left == (right or _collapse(rhs.steps)):
         return Pass(law, len(corpus))
     return commute_check_like_roundtrip(lhs, rhs, corpus, law)
 
@@ -214,10 +214,11 @@ def set_commute_check(
     (*T, probe), decided by `_composed_equal`: by their normal forms where
     they have equal ones, and on the corpus otherwise.  For the first
     orientation the form test is the conjugation identity
-    partner o g = g o probe.
+    partner o g = g o probe.  In the second, (probe, *T) is collapsed once:
+    its g-component is probe o g, from which partner' is built.
     """
     if family == "utilities":
-        g = form.u
+        g, k = form.u, 1
         eligible = g.cls.strictly_increasing and g.cls.surjective
         if not eligible and not probe_anyway:
             raise ClassError("set commutation with utilities needs a strict surjection")
@@ -226,7 +227,7 @@ def set_commute_check(
         inv = pwfn.strict_inverse(g.fn) if eligible else pwfn.pseudo_inverse(g.fn)
         wrap, step = Utility, Push
     elif family == "distortions":
-        g = form.d
+        g, k = form.d, 0
         if not (g.cls.strictly_increasing and g.cls.continuous):
             raise ClassError(
                 "set commutation with distortions needs a strictly increasing continuous one"
@@ -239,16 +240,19 @@ def set_commute_check(
     T = form.as_word().steps
 
     def orientations(probe):
-        """The (lhs, rhs) words of each orientation of the probe; partner'
-        is built only once the first orientation has passed."""
+        """The (lhs, rhs, collapsed rhs or None) of each orientation of the
+        probe; partner' is built only once the first orientation has passed."""
         if family == "distortions" and not probe.cls.right_continuous:
             raise ClassError("distortion probes must be right-continuous")
         partner = wrap(pwfn.compose(g.fn, pwfn.compose(probe.fn, inv)))
-        yield TransformWord((step(partner), *T)), TransformWord((*T, step(probe)))
-        partner_r = wrap(pwfn.compose(inv, pwfn.compose(probe.fn, g.fn)))
-        yield TransformWord((*T, step(partner_r))), TransformWord((step(probe), *T))
+        yield TransformWord((step(partner), *T)), TransformWord((*T, step(probe))), None
+        rhs = TransformWord((step(probe), *T))
+        right = _collapse(rhs.steps)
+        pg = pwfn.compose(probe.fn, g.fn) if right is None else right[k]
+        yield TransformWord((*T, step(wrap(pwfn.compose(inv, pg))))), rhs, right
 
-    return _tally(law, (_composed_equal(*o, corpus, law) for p in probes for o in orientations(p)))
+    return _tally(law, (_composed_equal(lhs, rhs, corpus, law, right)
+                        for p in probes for lhs, rhs, right in orientations(p)))
 
 
 def monotone_check(t: Transform, corpus: Corpus, law: str = "monotone") -> CheckResult:
@@ -565,7 +569,7 @@ def first_fn_difference(f: pwfn.PiecewiseMonotone, g: pwfn.PiecewiseMonotone):
         return None
     probes = _probe_grid([b.x for b in f.breakpoints + g.breakpoints])
     inside = [x for x in probes if f.in_domain(x) and g.in_domain(x)]
-    found = _first_where(ne, f, g, inside)
+    found = _first_where(_ne, f, g, inside)
     if found is None:
         raise AssertionError("functions differ but no probe separates them")
     return found

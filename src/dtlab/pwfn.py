@@ -12,13 +12,13 @@ Construction always canonicalises: breakpoints that sit on the interior of
 an affine stretch and carry no jump are dropped, so two representations of
 the same function compare equal with plain ``==``.  The constructor makes
 every stored value a `Fraction`, so the kernels compare stored values on
-their integers (`_eq`, `_lt`).
+their integers (`_eq`, `_lt`, `_le`, `_ne`) and read a segment from its two
+end points (`_interp`); no slope is stored.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -73,6 +73,14 @@ def _lt(a: Fraction, b: Fraction) -> bool:
     return a._numerator * b._denominator < b._numerator * a._denominator
 
 
+def _le(a: Fraction, b: Fraction) -> bool:
+    return not _lt(b, a)
+
+
+def _ne(a: Fraction, b: Fraction) -> bool:
+    return not _eq(a, b)
+
+
 ExtendedRat = Union[Fraction, float]
 
 
@@ -101,18 +109,16 @@ class PiecewiseMonotone:
 
     ``tails is None`` means the domain is the closed interval between the
     first and last breakpoint; otherwise the domain is all reals and
-    ``tails`` holds the (lower, upper) linear slopes; ``_slopes[i]`` is the
-    slope from breakpoint i to breakpoint i + 1.  The constructor checks its
-    input with explicit raises; kernels, whose outputs are ordered by
-    construction, call `_canonical` directly.
+    ``tails`` holds the (lower, upper) linear slopes.  Between breakpoints i
+    and i + 1 the function is the segment from the right limit of the one to
+    the left limit of the other.  The constructor checks its input with
+    explicit raises; kernels, whose outputs are ordered by construction,
+    call `_canonical` directly.
     """
 
     breakpoints: tuple[Breakpoint, ...]
     tails: tuple[Fraction, Fraction] | None = None
     _xs: tuple[Fraction, ...] = field(
-        init=False, repr=False, compare=False, hash=False, default=()
-    )
-    _slopes: tuple[Fraction, ...] = field(
         init=False, repr=False, compare=False, hash=False, default=()
     )
 
@@ -188,44 +194,33 @@ class PiecewiseMonotone:
 
 def _canonical(bps: tuple[Breakpoint, ...], tails, into=None) -> PiecewiseMonotone:
     """The canonical function of ordered breakpoints, filled into ``into``
-    (a new function when None).  Each segment's slope is computed once; a
-    continuous breakpoint whose two neighbouring slopes agree is dropped
-    (ends of a bounded domain stay), and each kept breakpoint but the last
-    keeps the slope after it, which the dropped ones along it share.
+    (a new function when None).  A continuous breakpoint is dropped when the
+    pieces either side of it are collinear (ends of a bounded domain stay):
+    each piece's slope is held as an integer pair (rise, run), run > 0, and
+    two pieces are collinear when rise1 * run2 == rise2 * run1.  Past the
+    ends of a function on the reals the pieces are its tails.
     """
-    slopes = [_slope(a, c) for a, c in zip(bps, bps[1:])]
-    ends = (None, None) if tails is None else tails
-    sides = [ends[0], *slopes, ends[1]]  # the slopes either side of bps[i]: sides[i], sides[i + 1]
-    kept = [
-        i for i, b in enumerate(bps)
-        if (s := sides[i]) is None or (t := sides[i + 1]) is None or not _eq(s, t)
-        or not (_eq(b.left, b.at) and _eq(b.at, b.right))
-    ]
-    if kept:
-        keep = tuple(bps[i] for i in kept)
-        slopes = tuple(slopes[i] for i in kept[:-1])
-    else:
+    ends = (None, None) if tails is None else [(s._numerator, s._denominator) for s in tails]
+    sides = [ends[0]]  # the slopes either side of bps[i]: sides[i], sides[i + 1]
+    for a, c in zip(bps, bps[1:]):
+        rd, ld, ad, cd = a.right._denominator, c.left._denominator, a.x._denominator, c.x._denominator
+        sides.append(((c.left._numerator * rd - a.right._numerator * ld) * ad * cd,
+                      (c.x._numerator * ad - a.x._numerator * cd) * rd * ld))
+    sides.append(ends[1])
+    keep = tuple(
+        b for i, b in enumerate(bps)
+        if not (_eq(b.left, b.at) and _eq(b.at, b.right))
+        or (s := sides[i]) is None or (t := sides[i + 1]) is None or s[0] * t[1] != t[0] * s[1]
+    )
+    if not keep:
         # Pure affine function on the reals; anchor it at x = 0.
         v = _on_line(bps[0].at, tails[0], bps[0].x, _ZERO)
-        keep, slopes = (Breakpoint(_ZERO, v, v, v),), ()
+        keep = (Breakpoint(_ZERO, v, v, v),)
     f = object.__new__(PiecewiseMonotone) if into is None else into
     object.__setattr__(f, "breakpoints", keep)
     object.__setattr__(f, "tails", tails)
     object.__setattr__(f, "_xs", tuple(b.x for b in keep))
-    object.__setattr__(f, "_slopes", slopes)
     return f
-
-
-def _slope(a: Breakpoint, c: Breakpoint) -> Fraction:
-    """Slope from a's right limit to c's left limit, normalised once rather
-    than after each of the three Fraction operations that spell it."""
-    y0, y1, x0, x1 = a.right, c.left, a.x, c.x
-    y0d, y1d = y0._denominator, y1._denominator
-    dy = y1._numerator * y0d - y0._numerator * y1d
-    if not dy:
-        return _ZERO
-    x0d, x1d = x0._denominator, x1._denominator
-    return Fraction(dy * x0d * x1d, (x1._numerator * x0d - x0._numerator * x1d) * y0d * y1d)
 
 
 def _on_line(y0, s, x0, x) -> Fraction:
@@ -237,6 +232,19 @@ def _on_line(y0, s, x0, x) -> Fraction:
         y0._numerator * den + yd * s.numerator * (x._numerator * x0d - x0._numerator * xd),
         yd * den,
     )
+
+
+def _interp(x0, y0, x1, y1, x) -> Fraction:
+    """y0 + (y1 - y0) * (x - x0) / (x1 - x0), the point above x on the line
+    through (x0, y0) and (x1, y1), from integer numerators and denominators,
+    normalised once; y0 itself on a flat piece."""
+    y0n, y0d, y1d = y0._numerator, y0._denominator, y1._denominator
+    dy = y1._numerator * y0d - y0n * y1d
+    if not dy:
+        return y0
+    x0n, x0d, x1d, xd = x0._numerator, x0._denominator, x1._denominator, x._denominator
+    k = y1d * xd * (x1._numerator * x0d - x0n * x1d)
+    return Fraction(y0n * k + dy * (x._numerator * x0d - x0n * xd) * x1d, y0d * k)
 
 
 def _triple(f: PiecewiseMonotone, j: int, x: Fraction):
@@ -255,9 +263,12 @@ def _triple(f: PiecewiseMonotone, j: int, x: Fraction):
         raise DomainError(f"{x} is {side} the domain [{f.lo}, {f.hi}]")
     if j == 0:
         v = _on_line(bps[0].left, f.tails[0], xs[0], x)
+    elif j == m:
+        a = bps[-1]
+        v = _on_line(a.right, f.tails[1], a.x, x)
     else:
-        a = bps[j - 1]
-        v = _on_line(a.right, f.tails[1] if j == m else f._slopes[j - 1], a.x, x)
+        a, c = bps[j - 1], bps[j]
+        v = _interp(a.x, a.right, c.x, c.left, x)
     return j, (v, v, v)
 
 
@@ -350,11 +361,11 @@ def right_inverse(f: PiecewiseMonotone, x) -> ExtendedRat:
     Total on the rationals; the result is exact: a breakpoint abscissa, a
     segment preimage, or `POS_INF` / `NEG_INF` (``math.inf`` / ``-math.inf``).
     """
-    return _sup_walk(f, rat(x), operator.le)
+    return _sup_walk(f, rat(x), _le)
 
 
 def _sup_walk(f: PiecewiseMonotone, x: Fraction, op) -> ExtendedRat:
-    """sup{y : op(f(y), x)} for op `operator.le` or `operator.lt`.
+    """sup{y : op(f(y), x)} for op `_le` or `_lt`.
 
     Walks down from the upper tail through breakpoints and the segments
     between them; the sup of the empty set is `NEG_INF`.
@@ -363,7 +374,7 @@ def _sup_walk(f: PiecewiseMonotone, x: Fraction, op) -> ExtendedRat:
     last = bps[-1]
     if not f.is_bounded and op(last.right, x):
         s = f.tails[1]
-        return POS_INF if s == 0 else last.x + (x - last.right) / s
+        return POS_INF if not s._numerator else last.x + (x - last.right) / s
     for i in range(len(bps) - 1, -1, -1):
         b = bps[i]
         if op(b.at, x):
@@ -373,14 +384,14 @@ def _sup_walk(f: PiecewiseMonotone, x: Fraction, op) -> ExtendedRat:
             if op(a.right, x):
                 if op(b.left, x):
                     return b.x
-                return a.x + (x - a.right) / f._slopes[i - 1]
+                return _interp(a.right, a.x, b.left, b.x, x)
     if f.is_bounded:
         return NEG_INF
     b0 = bps[0]
     if op(b0.left, x):
         return b0.x
     s = f.tails[0]
-    return NEG_INF if s == 0 else b0.x - (b0.left - x) / s
+    return NEG_INF if not s._numerator else b0.x - (b0.left - x) / s
 
 
 def _first_where(op, f, g, xs):
@@ -415,9 +426,9 @@ def compose(
     gives the right-continuous version of f o g.
     """
     glo, ghi = g.value_bounds()
-    if f.is_bounded and (glo < f.lo or ghi > f.hi):
+    if f.is_bounded and (glo is NEG_INF or ghi is POS_INF or _lt(glo, f.lo) or _lt(f.hi, ghi)):
         raise DomainError("range of the inner function leaves the outer domain")
-    gbps, gslopes = g.breakpoints, g._slopes
+    gbps = g.breakpoints
     n = len(gbps)
     s_lo, s_hi = (_ZERO, _ZERO) if g.is_bounded else g.tails
     out: list[Breakpoint] = []
@@ -426,11 +437,11 @@ def compose(
     for i, b in enumerate(gbps):
         flat_l = flat_r
         if not flat_l and i == 0:
-            j = _preimages(out, f, j, b.x, b.left, s_lo, NEG_INF, b.left, right_limits)
+            j = _preimages(out, f, j, b.x, b.left, None, s_lo, NEG_INF, b.left, right_limits)
         elif not flat_l:
             a = gbps[i - 1]
-            j = _preimages(out, f, j, a.x, a.right, gslopes[i - 1], a.right, b.left, right_limits)
-        flat_r = not (gslopes[i] if i < n - 1 else s_hi)._numerator
+            j = _preimages(out, f, j, a.x, a.right, b.x, None, a.right, b.left, right_limits)
+        flat_r = _eq(b.right, gbps[i + 1].left) if i < n - 1 else not s_hi._numerator
         j, fl = _triple(f, j, b.left)
         j, fa = (j, fl) if _eq(b.at, b.left) else _triple(f, j, b.at)
         j, fr = (j, fa) if _eq(b.right, b.at) else _triple(f, j, b.right)
@@ -439,7 +450,7 @@ def compose(
         out.append(Breakpoint(b.x, fl[1] if flat_l else fl[0], at, right))
     if s_hi._numerator > 0:
         b = gbps[-1]
-        _preimages(out, f, j, b.x, b.right, s_hi, b.right, POS_INF, right_limits)
+        _preimages(out, f, j, b.x, b.right, None, s_hi, b.right, POS_INF, right_limits)
 
     tails = None if g.is_bounded else tuple(
         f.tails[k] * s if s._numerator > 0 else _ZERO for k, s in enumerate(g.tails)
@@ -447,11 +458,12 @@ def compose(
     return _canonical(tuple(out), tails)
 
 
-def _preimages(out, f, j, x0, v0, slope, lo_v, hi_v, right_limits) -> int:
+def _preimages(out, f, j, x0, v0, x1, slope, lo_v, hi_v, right_limits) -> int:
     """Append f's breakpoints whose abscissa t lies strictly between lo_v
-    and hi_v, each moved to x0 + (t - v0) / slope, its preimage under one
-    rising piece of the inner function; return the index the walk of f's
-    abscissas stopped at.
+    and hi_v, each moved to its preimage under one rising piece of the inner
+    function through (x0, v0): the tail of the given slope, or with ``slope``
+    None the segment to (x1, hi_v), read by `_interp` with its axes swapped.
+    Return the index the walk of f's abscissas stopped at.
 
     The value ranges of successive rising pieces are disjoint and
     increasing, so the walk only moves forward.
@@ -461,12 +473,15 @@ def _preimages(out, f, j, x0, v0, slope, lo_v, hi_v, right_limits) -> int:
     if lo_v is not NEG_INF:
         while j < m and not _lt(lo_v, fxs[j]):
             j += 1
-    inv = None  # 1 / slope, made at the first preimage
+    inv = None  # 1 / slope, made at a tail's first preimage
     while j < m and (hi_v is POS_INF or _lt(fxs[j], hi_v)):
         t = fbps[j]
-        inv = inv or Fraction(slope.denominator, slope.numerator)
-        at = t.right if right_limits else t.at
-        out.append(Breakpoint(_on_line(x0, inv, v0, t.x), t.left, at, t.right))
+        if slope is None:
+            x = _interp(v0, x0, hi_v, x1, t.x)
+        else:
+            inv = inv or Fraction(slope._denominator, slope._numerator)
+            x = _on_line(x0, inv, v0, t.x)
+        out.append(Breakpoint(x, t.left, t.right if right_limits else t.at, t.right))
         j += 1
     return j
 

@@ -9,7 +9,6 @@ words collapse to the normal shape distort-after-push.  Everything is exact.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -19,7 +18,8 @@ from . import pwfn
 from .dist import Cdf, mean
 from .errors import ClassError, LevelError, NormalFormError, NotInvertibleError
 from .pwfn import (
-    Classification, PiecewiseMonotone, _canonical, _eq, _lt, _on_line, _put, _triple, classify, rat,
+    Classification, PiecewiseMonotone, _ZERO, _canonical, _eq, _interp, _lt, _put, _triple,
+    classify, rat,
 )
 
 
@@ -137,13 +137,13 @@ def apply_utility(u: Utility, F: Cdf) -> Cdf:
     f, g = F.fn, u.fn
     fbps, gbps, gxs = f.breakpoints, g.breakpoints, g._xs
     out = []
-    j, m = bisect_left(gxs, f.lo), len(gxs)  # u's abscissas before j are read
+    j, m = 0, len(gxs)  # u's abscissas before j are read; the first _triple passes those below F
     for i, b in enumerate(fbps):
         if i:  # u's abscissas strictly inside F's stretch before b, where F is continuous
-            a, s = fbps[i - 1], f._slopes[i - 1]
+            a = fbps[i - 1]
             while j < m and _lt(gxs[j], b.x):
                 c = gbps[j]
-                v = _on_line(a.right, s, a.x, c.x)
+                v = _interp(a.x, a.right, b.x, b.left, c.x)
                 _put(out, c.left, v, v)
                 if not _eq(c.right, c.left):
                     _put(out, c.right, v, v)
@@ -157,7 +157,7 @@ def apply_utility(u: Utility, F: Cdf) -> Cdf:
             _put(out, ul, b.left, b.left)
             _put(out, ua, b.left, b.at)
             _put(out, ur, b.at, b.at)
-    return Cdf(_canonical(tuple(out), (Fraction(0), Fraction(0))))
+    return Cdf(_canonical(tuple(out), (_ZERO, _ZERO)))
 
 
 def apply_word(word: TransformWord, F: Cdf) -> Cdf:

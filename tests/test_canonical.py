@@ -1,10 +1,12 @@
-"""Every kernel output is canonical and carries the slopes of its segments.
+"""Every kernel output is canonical.
 
 The kernels (`compose`, `strict_inverse`, `pseudo_inverse`, `make`,
 `apply_distortion`, `apply_utility`, `normal_form`) build their breakpoints
 in order and hand them to the canonicaliser without the constructor's
 checks.  This sweep rebuilds each output through the validating
-`PiecewiseMonotone(bps, tails)` and recomputes its stored slopes.
+`PiecewiseMonotone(bps, tails)`, checks with `Fraction` arithmetic that no
+kept breakpoint could be dropped, and puts dropped breakpoints back in to
+see `_canonical` take them out again.
 """
 
 from fractions import Fraction
@@ -13,7 +15,9 @@ import pytest
 
 from dtlab.dist import decompose, make
 from dtlab.lab import DISTORTION_KINDS, KINDS, UTILITY_KINDS, gen, gen_admissible_word
-from dtlab.pwfn import PiecewiseMonotone, compose, pseudo_inverse, strict_inverse
+from dtlab.pwfn import (
+    Breakpoint, PiecewiseMonotone, _canonical, compose, pseudo_inverse, strict_inverse,
+)
 from dtlab.transform import apply_distortion, apply_utility, normal_form
 
 
@@ -21,7 +25,25 @@ def assert_canonical(f):
     assert PiecewiseMonotone(f.breakpoints, f.tails) == f
     bps = f.breakpoints
     assert f._xs == tuple(b.x for b in bps)
-    assert f._slopes == tuple((c.left - a.right) / (c.x - a.x) for a, c in zip(bps, bps[1:]))
+    # the slopes either side of each breakpoint, by Fraction operators; None
+    # past the ends of a bounded domain, the tails past those of the reals
+    ends = (None, None) if f.tails is None else f.tails
+    sides = [ends[0], *((c.left - a.right) / (c.x - a.x) for a, c in zip(bps, bps[1:])), ends[1]]
+    for i, b in enumerate(bps):
+        s, t = sides[i], sides[i + 1]
+        droppable = b.left == b.at == b.right and None not in (s, t) and s == t
+        # but a pure affine function keeps one breakpoint, anchored at 0
+        assert not droppable or len(bps) == 1 and b.x == 0
+
+
+def with_midpoints(f):
+    """f's breakpoints with a continuous breakpoint put in at the midpoint of each segment."""
+    bps = f.breakpoints
+    out = [bps[0]]
+    for a, c in zip(bps, bps[1:]):
+        v = (a.right + c.left) / 2
+        out += [Breakpoint((a.x + c.x) / 2, v, v, v), c]
+    return tuple(out)
 
 
 def kernel_outputs(seed, level):
@@ -52,6 +74,13 @@ def test_kernel_outputs_are_canonical(level):
     for seed in range(3):
         for f in kernel_outputs(seed, level):
             assert_canonical(f)
+
+
+@pytest.mark.parametrize("level", range(1, 16, 2))
+def test_canonical_drops_the_midpoints_of_segments(level):
+    for seed in range(3):
+        for f in kernel_outputs(seed, level):
+            assert _canonical(with_midpoints(f), f.tails) == f
 
 
 def test_kernel_outputs_store_only_fractions():

@@ -213,6 +213,21 @@ def test_quantile_level_ranges():
     assert right_quantile(F, 0) == 0
 
 
+def test_quantile_levels_are_checked_on_their_integers():
+    F = uniform(0, 1)
+    for t in (Q(-1, 2), Q(-7, 3), Q(3, 2), Q(7, 3), Q(2)):
+        with pytest.raises(LevelError):
+            left_quantile(F, t)
+        with pytest.raises(LevelError):
+            right_quantile(F, t)
+    with pytest.raises(LevelError):
+        left_quantile(F, Q(0, 5))
+    with pytest.raises(LevelError):
+        right_quantile(F, Q(6, 6))
+    big = Q(2**70 - 1, 2**70)
+    assert left_quantile(F, big) == right_quantile(F, big) == big
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 23))
 def test_quantile_galois_laws(seed, num):

@@ -11,10 +11,14 @@ from pathlib import Path
 import pytest
 
 from dtlab import lab, pwfn
-from dtlab.dist import dirac, equals, right_quantile, uniform
+from dtlab.dist import (
+    dirac, equals, first_difference, left_quantile, leq_st, right_quantile, uniform,
+)
 from dtlab.errors import ClassError, ExtractionError
 from dtlab.lab import (
+    DISTORTION_KINDS,
     KINDS,
+    UTILITY_KINDS,
     Corpus,
     Pass,
     Witness,
@@ -219,6 +223,79 @@ def test_set_commute_falls_back_to_the_corpus_only_without_equal_forms(monkeypat
             res = set_commute_check(form, family, probes, CORPUS)
             assert isinstance(res, Pass) and res.count == 2 * 5 * len(CORPUS), (family, i)
             assert fallbacks == [], (family, i)
+
+
+# The inputs of fuzz_set_commute(family, n, seed=1, ...) at iteration i: the
+# form's distortion and utility, then five probes, from (seed, kind) pairs.
+def set_commute_fuzz_inputs(family, i):
+    mults, kinds = {
+        "utilities": ((433, 439, 443), ("df", "uf-strict", "uf")),
+        "distortions": ((449, 457, 461), ("df-strict", "uf-left", "df-rc")),
+    }[family]
+    form = RduForm(gen(mults[0] + i, kinds[0]), gen(mults[1] + i, kinds[1]))
+    return form, [gen(mults[2] + i * 5 + j, kinds[2]) for j in range(5)]
+
+
+def test_set_commute_composes_seven_times_per_passing_probe(monkeypatch):
+    # Per probe: partner = g o (probe o inv) and partner' = inv o (probe o g)
+    # take two and one, since probe o g is read off the collapsed (probe, *T);
+    # the three other collapses take one each.
+    calls = []
+    compose = pwfn.compose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(pwfn, "compose", counting)
+    for family in ("utilities", "distortions"):
+        for i in range(8):
+            form, probes = set_commute_fuzz_inputs(family, i)
+            calls.clear()
+            res = set_commute_check(form, family, probes, CORPUS)
+            assert isinstance(res, Pass) and res.count == 2 * 5 * len(CORPUS), (family, i)
+            assert len(calls) == 7 * 5, (family, i)
+
+
+def test_kernels_make_no_ordered_fraction_comparison(monkeypatch):
+    # Every kernel compares Fractions on their integers, so none of <, <=, >
+    # and >= (all of which go through Fraction._richcmp) runs inside one.
+    # eval3 is left out on purpose: it reads one point by bisecting the
+    # abscissas with Fraction operators.
+    values = [{kind: gen(seed, kind, c) for kind in KINDS} for seed in range(4) for c in (3, 9)]
+    forms = [set_commute_fuzz_inputs(family, 0) for family in ("utilities", "distortions")]
+    levels = [Q(k, 8) for k in range(1, 8)]
+    calls = []
+    richcmp = Q._richcmp
+
+    def counting(self, other, op):
+        calls.append((self, other, op))
+        return richcmp(self, other, op)
+
+    monkeypatch.setattr(Q, "_richcmp", counting)
+    assert Q(1, 3) < Q(1, 2) and len(calls) == 1  # the patch sees the operators
+    calls.clear()
+    for v, w in zip(values, values[1:]):
+        F, G = v["cdf"], w["cdf"]
+        for kind in DISTORTION_KINDS:
+            pwfn.compose(v[kind].fn, w[kind].fn)
+            pwfn.compose(v[kind].fn, F.fn, right_limits=True)
+            apply_distortion(v[kind], F)
+        for kind in UTILITY_KINDS:
+            pwfn.compose(v[kind].fn, w[kind].fn)
+            pwfn.compose(v[kind].fn, F.fn)
+            apply_utility(v[kind], F)
+            for t in levels:
+                pwfn.right_inverse(v[kind].fn, t * 8 - 4)
+        first_difference(F, G)
+        leq_st(F, G)
+        for t in levels:
+            left_quantile(F, t)
+            right_quantile(F, t)
+    assert calls == []
+    for family, (form, probes) in zip(("utilities", "distortions"), forms):
+        assert isinstance(set_commute_check(form, family, probes, CORPUS), Pass)
+    assert calls == []
 
 
 def test_set_commute_class_preconditions():

@@ -16,9 +16,11 @@ from dtlab.pwfn import (
     Breakpoint,
     PiecewiseMonotone,
     _eq,
+    _interp,
+    _le,
     _lt,
+    _ne,
     _on_line,
-    _slope,
     _sup_walk,
     bp,
     classify,
@@ -575,13 +577,20 @@ def test_on_line_matches_fraction_arithmetic(y0, s, x0, x):
 
 
 @settings(max_examples=150, deadline=None)
-@given(values, values, values, values, st.booleans())
-def test_slope_matches_fraction_arithmetic(x0, x1, y0, y1, flat):
+@given(values, values, values, values, st.none() | values, st.booleans())
+def test_interp_matches_fraction_arithmetic(x0, x1, y0, y1, x, flat):
     if x0 == x1:
         x1 = x0 + 1
     y1 = y0 if flat else y1
-    a, c = Breakpoint(x0, y0, y0, y0), Breakpoint(x1, y1, y1, y1)
-    assert same_fraction(_slope(a, c), (y1 - y0) / (x1 - x0))
+    x = x0 if x is None else x  # None draws the first end itself
+    got = _interp(x0, y0, x1, y1, x)
+    assert same_fraction(got, y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+    if flat:
+        assert got is y0
+    if x == x0:
+        assert got == y0
+    if y0 != y1:  # the same line read with its axes swapped: the preimage of got is x
+        assert same_fraction(_interp(y0, x0, y1, x1, got), x)
 
 
 # -- exact comparisons ----------------------------------------------------------
@@ -606,3 +615,5 @@ def test_eq_and_lt_match_fraction_comparisons(a, b, k):
     for x, y in ((a, b), (b, a), (a, twin), (twin, a), (a, a)):
         assert _eq(x, y) == (x == y)
         assert _lt(x, y) == (x < y)
+        assert _le(x, y) == (x <= y)
+        assert _ne(x, y) == (x != y)
