@@ -1,9 +1,12 @@
 """Golden CLI transcripts: the exit code, stdout and stderr of `cli.main`.
 
 The cases cover every reproduction (plain, quiet and seeded), every fuzz
-target, each query and law command on the DEMO spec of `test_cli`, and
-malformed spec files.  Files are written to a fresh directory that is the
-working directory of the run, so messages that name them stay relative.
+target, each query and law command on the DEMO spec of `test_cli`,
+malformed spec files, and the parser itself: the top-level help, a bare
+`dtlab`, every command's help and three usage errors.  Files are written to
+a fresh directory that is the working directory of the run, so messages
+that name them stay relative.  argparse wraps its text at the terminal
+width, so every run sees ``COLUMNS=80``, the width the file was recorded at.
 
 After an intended change of output, re-record with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff of
@@ -23,6 +26,11 @@ from dtlab.cli import main
 from test_cli import DEMO
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+COMMANDS = (
+    "quantile", "eval", "apply", "functional", "risk", "commute", "setcommute",
+    "monotone", "lsc", "extract", "fuzz", "normal-form", "reproduce",
+)
 
 # Spec files for the malformed cases; each is read by `quantile left 1/2 a`.
 MALFORMED = {
@@ -117,6 +125,13 @@ def _cases():
     cases["spec-not-utf8"] = (["quantile", "left", "1/2", "a", "--spec", "latin1.dtl"], {"latin1.dtl": NOT_UTF8})
     for name, text in MALFORMED.items():
         cases[f"malformed-{name}"] = (["quantile", "left", "1/2", "a", "--spec", "bad.dtl"], {"bad.dtl": text})
+    cases["help"] = (["--help"], {})
+    cases["no-command"] = ([], {})
+    for command in COMMANDS:
+        cases[f"help-{command}"] = ([command, "--help"], {})
+    cases["usage-extract-no-at"] = (["extract", "distortion", "w"], {})
+    cases["usage-setcommute-no-probes"] = (["setcommute", "utilities", "d", "u"], {})
+    cases["usage-quantile-side"] = (["quantile", "mid", "1/2", "a"], {})
     return cases
 
 
@@ -128,8 +143,9 @@ def transcript(argv, files, where: Path):
     for name, text in files.items():
         (where / name).write_bytes(text.encode("utf-8", "surrogateescape"))
     out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(where)
+    os.environ["COLUMNS"] = "80"
     try:
         with redirect_stdout(out), redirect_stderr(err):
             try:
@@ -138,6 +154,10 @@ def transcript(argv, files, where: Path):
                 code = exc.code
     finally:
         os.chdir(cwd)
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
     return [code, out.getvalue(), err.getvalue()]
 
 
