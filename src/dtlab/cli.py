@@ -368,13 +368,12 @@ def _read(path: str) -> str:
             raise ParseError(f"{path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def load_corpus(args, env: Env) -> Corpus:
-    spec = getattr(args, "corpus", "default")
-    if spec == "default":
+def load_corpus(args) -> Corpus:
+    if args.corpus == "default":
         return canonical_corpus()
-    sub = load_env(_read(spec))
+    sub = load_env(_read(args.corpus))
     if not sub.dists:
-        raise ParseError(f"corpus file {spec!r} declares no distributions")
+        raise ParseError(f"corpus file {args.corpus!r} declares no distributions")
     return Corpus(tuple(sub.dists.items()))
 
 
@@ -438,7 +437,7 @@ def cmd_risk(env: Env, args) -> int:
 def cmd_commute(env: Env, args) -> int:
     name1, w1 = resolve_word(env, args.t1)
     name2, w2 = resolve_word(env, args.t2)
-    corpus = load_corpus(args, env)
+    corpus = load_corpus(args)
     return _law(commute_check(w1, w2, corpus, law=f"commute({name1},{name2})"))
 
 
@@ -446,7 +445,7 @@ def cmd_setcommute(env: Env, args) -> int:
     d = Distortion(resolve_fn(env, args.d))
     u = Utility(resolve_fn(env, args.u))
     form = RduForm(d, u)
-    corpus = load_corpus(args, env)
+    corpus = load_corpus(args)
     if args.family == "utilities":
         probes = [Utility(resolve_fn(env, s)) for s in args.probes]
     else:
@@ -456,7 +455,7 @@ def cmd_setcommute(env: Env, args) -> int:
 
 def cmd_monotone(env: Env, args) -> int:
     name, w = resolve_word(env, args.transform)
-    corpus = load_corpus(args, env)
+    corpus = load_corpus(args)
     return _law(monotone_check(w, corpus, law=f"monotone({name})"))
 
 
@@ -472,7 +471,7 @@ def cmd_lsc(env: Env, args) -> int:
 def cmd_extract(env: Env, args) -> int:
     name, w = resolve_word(env, args.transform)
     probes = [rat(s) for s in args.at.split(",")]
-    corpus = load_corpus(args, env)
+    corpus = load_corpus(args)
     if args.kind == "distortion":
         res = extract_distortion(w, probes, corpus)
     else:
@@ -642,6 +641,30 @@ def cmd_reproduce(env: Env, args) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
+# Commands: name -> (handler, *arguments), each argument a name or a
+# (flag, `add_argument` options) pair, added in this order after the options
+# every command shares.
+COMMANDS = {
+    "quantile": (cmd_quantile, ("side", {"choices": ["left", "right"]}), "level", "dist"),
+    "eval": (cmd_eval, "fn", "x"),
+    "apply": (cmd_apply, "transform", "dist"),
+    "functional": (cmd_functional, ("kind", {"choices": ["eu", "du", "rdu"]}), ("args", {"nargs": "+"})),
+    "risk": (cmd_risk, ("kind", {"choices": ["var", "es"]}), "level", "dist"),
+    "commute": (cmd_commute, "t1", "t2"),
+    "setcommute": (
+        cmd_setcommute, ("family", {"choices": ["utilities", "distortions"]}), "d", "u", ("probes", {"nargs": "+"})
+    ),
+    "monotone": (cmd_monotone, "transform"),
+    "lsc": (cmd_lsc, "transform", "bound"),
+    "extract": (
+        cmd_extract, ("kind", {"choices": ["distortion", "utility"]}), "transform",
+        ("--at", {"required": True, "help": "comma-separated probe levels or points"}),
+    ),
+    "fuzz": (cmd_fuzz, ("law", {"choices": FUZZ})),
+    "normal-form": (cmd_normal_form, "word"),
+    "reproduce": (cmd_reproduce, "id"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """Reads a negative fraction such as ``-3/4`` as a positional, like ``-3``."""
@@ -665,73 +688,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact queries and law checks for distributional transforms.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("quantile", parents=[common])
-    q.add_argument("side", choices=["left", "right"])
-    q.add_argument("level")
-    q.add_argument("dist")
-    q.set_defaults(handler=cmd_quantile)
-
-    e = sub.add_parser("eval", parents=[common])
-    e.add_argument("fn")
-    e.add_argument("x")
-    e.set_defaults(handler=cmd_eval)
-
-    a = sub.add_parser("apply", parents=[common])
-    a.add_argument("transform")
-    a.add_argument("dist")
-    a.set_defaults(handler=cmd_apply)
-
-    f = sub.add_parser("functional", parents=[common])
-    f.add_argument("kind", choices=["eu", "du", "rdu"])
-    f.add_argument("args", nargs="+")
-    f.set_defaults(handler=cmd_functional)
-
-    r = sub.add_parser("risk", parents=[common])
-    r.add_argument("kind", choices=["var", "es"])
-    r.add_argument("level")
-    r.add_argument("dist")
-    r.set_defaults(handler=cmd_risk)
-
-    c = sub.add_parser("commute", parents=[common])
-    c.add_argument("t1")
-    c.add_argument("t2")
-    c.set_defaults(handler=cmd_commute)
-
-    s = sub.add_parser("setcommute", parents=[common])
-    s.add_argument("family", choices=["utilities", "distortions"])
-    s.add_argument("d")
-    s.add_argument("u")
-    s.add_argument("probes", nargs="+")
-    s.set_defaults(handler=cmd_setcommute)
-
-    m = sub.add_parser("monotone", parents=[common])
-    m.add_argument("transform")
-    m.set_defaults(handler=cmd_monotone)
-
-    l = sub.add_parser("lsc", parents=[common])
-    l.add_argument("transform")
-    l.add_argument("bound")
-    l.set_defaults(handler=cmd_lsc)
-
-    x = sub.add_parser("extract", parents=[common])
-    x.add_argument("kind", choices=["distortion", "utility"])
-    x.add_argument("transform")
-    x.add_argument("--at", required=True, help="comma-separated probe levels or points")
-    x.set_defaults(handler=cmd_extract)
-
-    z = sub.add_parser("fuzz", parents=[common])
-    z.add_argument("law", choices=FUZZ)
-    z.set_defaults(handler=cmd_fuzz)
-
-    n = sub.add_parser("normal-form", parents=[common])
-    n.add_argument("word")
-    n.set_defaults(handler=cmd_normal_form)
-
-    p = sub.add_parser("reproduce", parents=[common])
-    p.add_argument("id")
-    p.set_defaults(handler=cmd_reproduce)
-
+    for name, (handler, *arguments) in COMMANDS.items():
+        cmd = sub.add_parser(name, parents=[common])
+        for arg in arguments:
+            flag, options = (arg, {}) if isinstance(arg, str) else arg
+            cmd.add_argument(flag, **options)
+        cmd.set_defaults(handler=handler)
     return ap
 
 

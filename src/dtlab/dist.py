@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .errors import LevelError, SpecError
 from .pwfn import (
-    Breakpoint, PiecewiseMonotone, _canonical, _eq, _first_where, _le, _lt, _ne, _sup_walk, rat,
+    Breakpoint, PiecewiseMonotone, _canonical, _eq, _first_where, _le, _lt, _merged, _ne, _sup_walk, rat,
 )
 
 
@@ -141,11 +141,11 @@ def two_point(alpha, y, z) -> Cdf:
 def decompose(F: Cdf) -> tuple[list[Atom], list[Uniform]]:
     """Split a canonical cdf back into its atoms and uniform stretches."""
     bps = F.fn.breakpoints
-    atoms = [Atom(b.x, b.at - b.left) for b in bps if b.at > b.left]
+    atoms = [Atom(b.x, b.at - b.left) for b in bps if _lt(b.left, b.at)]
     segs = [
         Uniform(a.x, b.x, b.left - a.right)
         for a, b in zip(bps, bps[1:])
-        if b.left > a.right
+        if _lt(a.right, b.left)
     ]
     return atoms, segs
 
@@ -176,20 +176,8 @@ def right_quantile(F: Cdf, t) -> Fraction:
 
 
 def merged_abscissas(F: Cdf, G: Cdf) -> list[Fraction]:
-    """The union of both cdfs' abscissas, ascending: one merge walk of the two
-    ascending `_xs` tuples on their integers."""
-    xs, ys = F.fn._xs, G.fn._xs
-    out, i, j = [], 0, 0
-    while i < len(xs) and j < len(ys):
-        x, y = xs[i], ys[j]
-        if _lt(y, x):
-            out.append(y)
-            j += 1
-        else:
-            out.append(x)
-            i += 1
-            j += _eq(x, y)  # an abscissa of both is kept once
-    return out + list(xs[i:]) + list(ys[j:])
+    """The union of both cdfs' abscissas, ascending."""
+    return _merged(F.fn._xs, G.fn._xs)
 
 
 def leq_st(F: Cdf, G: Cdf) -> bool:

@@ -31,8 +31,8 @@ from .dist import (
     unif,
     uniform,
 )
-from .errors import ClassError, ExtractionError
-from .pwfn import NEG_INF, POS_INF, _first_where, _ne, format_rat, rat
+from .errors import ClassError, DomainError, ExtractionError
+from .pwfn import NEG_INF, POS_INF, _first_where, _merged, _ne, format_rat, rat
 from .transform import (
     Distort,
     Distortion,
@@ -563,23 +563,26 @@ def first_fn_difference(f: pwfn.PiecewiseMonotone, g: pwfn.PiecewiseMonotone):
     """Locate a point where two piecewise functions differ: (x, f-val, g-val).
 
     None when the canonical forms are equal.  Probes the merged breakpoints,
-    segment midpoints, and one point beyond each end.
+    segment midpoints, and one point beyond each end.  Two functions that
+    differ only where one of them is undefined raise `DomainError`.
     """
     if f == g:
         return None
-    probes = _probe_grid([b.x for b in f.breakpoints + g.breakpoints])
+    probes = _probe_grid(_merged(f._xs, g._xs))
     inside = [x for x in probes if f.in_domain(x) and g.in_domain(x)]
     found = _first_where(_ne, f, g, inside)
     if found is None:
-        raise AssertionError("functions differ but no probe separates them")
+        raise DomainError("the functions agree wherever both are defined; only their domains differ")
     return found
 
 
 def _probe_grid(xs: Sequence[Fraction]) -> list[Fraction]:
-    """Ascending: the distinct xs, the midpoints between them, and one point beyond each end."""
-    xs = sorted(set(xs))
-    mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
-    return sorted([xs[0] - 1, *xs, *mids, xs[-1] + 1])
+    """Ascending distinct xs interleaved with the midpoints between them, and
+    one point beyond each end."""
+    grid = [xs[0] - 1]
+    for a, b in zip(xs, xs[1:]):
+        grid += [a, (a + b) / 2]
+    return grid + [xs[-1], xs[-1] + 1]
 
 
 # -- fuzz drivers -----------------------------------------------------------------
@@ -637,7 +640,7 @@ def fuzz_rc_left_pairing(iters: int, seed: int, corpus: Corpus) -> CheckResult:
         witness = _differ("rc-left-pairing", name, F, lhs, rhs)
         if witness is not None:
             return witness
-        for x in _probe_grid([b.x for b in lhs.fn.breakpoints + u.fn.breakpoints]):
+        for x in _probe_grid(_merged(lhs.fn._xs, u.fn._xs)):
             want = pairing_formula_value(d, u, F, x)
             got = lhs(x)
             if got != want:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -186,7 +185,7 @@ class PiecewiseMonotone:
         """
         if type(x) is not Fraction:
             x = rat(x)
-        return _triple(self, bisect_left(self._xs, x), x)[1]
+        return _triple(self, 0, x)[1]
 
     def __call__(self, x) -> Fraction:
         return self.eval3(x)[1]
@@ -392,6 +391,22 @@ def _sup_walk(f: PiecewiseMonotone, x: Fraction, op) -> ExtendedRat:
         return b0.x
     s = f.tails[0]
     return NEG_INF if not s._numerator else b0.x - (b0.left - x) / s
+
+
+def _merged(xs, ys) -> list[Fraction]:
+    """The union of two ascending tuples of abscissas, ascending: one merge
+    walk on their integers."""
+    out, i, j = [], 0, 0
+    while i < len(xs) and j < len(ys):
+        x, y = xs[i], ys[j]
+        if _lt(y, x):
+            out.append(y)
+            j += 1
+        else:
+            out.append(x)
+            i += 1
+            j += _eq(x, y)  # an abscissa of both is kept once
+    return out + list(xs[i:]) + list(ys[j:])
 
 
 def _first_where(op, f, g, xs):

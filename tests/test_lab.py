@@ -12,9 +12,9 @@ import pytest
 
 from dtlab import lab, pwfn
 from dtlab.dist import (
-    dirac, equals, first_difference, left_quantile, leq_st, right_quantile, uniform,
+    decompose, dirac, equals, first_difference, left_quantile, leq_st, right_quantile, uniform,
 )
-from dtlab.errors import ClassError, ExtractionError
+from dtlab.errors import ClassError, DomainError, ExtractionError
 from dtlab.lab import (
     DISTORTION_KINDS,
     KINDS,
@@ -259,9 +259,8 @@ def test_set_commute_composes_seven_times_per_passing_probe(monkeypatch):
 
 def test_kernels_make_no_ordered_fraction_comparison(monkeypatch):
     # Every kernel compares Fractions on their integers, so none of <, <=, >
-    # and >= (all of which go through Fraction._richcmp) runs inside one.
-    # eval3 is left out on purpose: it reads one point by bisecting the
-    # abscissas with Fraction operators.
+    # and >= (all of which go through Fraction._richcmp) runs inside one,
+    # nor inside a single-point read, a cdf's decomposition or the probe grid.
     values = [{kind: gen(seed, kind, c) for kind in KINDS} for seed in range(4) for c in (3, 9)]
     forms = [set_commute_fuzz_inputs(family, 0) for family in ("utilities", "distortions")]
     levels = [Q(k, 8) for k in range(1, 8)]
@@ -292,6 +291,12 @@ def test_kernels_make_no_ordered_fraction_comparison(monkeypatch):
         for t in levels:
             left_quantile(F, t)
             right_quantile(F, t)
+        for f in [v[kind].fn for kind in KINDS]:
+            for x in f._xs + tuple(levels):
+                f.eval3(x)
+                f(x)
+        decompose(F)
+        lab._probe_grid(pwfn._merged(F.fn._xs, G.fn._xs))
     assert calls == []
     for family, (form, probes) in zip(("utilities", "distortions"), forms):
         assert isinstance(set_commute_check(form, family, probes, CORPUS), Pass)
@@ -743,6 +748,26 @@ def test_first_fn_difference_locates_divergence():
     x, a, b = first_fn_difference(f, g)
     assert a != b and f(x) == a and g(x) == b
     assert first_fn_difference(f, pwfn.identity(0, 1)) is None
+
+
+def test_first_fn_difference_on_different_domains_is_a_domain_error():
+    # identity on [0, 1] and on [0, 2] agree wherever both are defined
+    with pytest.raises(DomainError, match="agree wherever both are defined"):
+        first_fn_difference(pwfn.identity(0, 1), pwfn.identity(0, 2))
+
+
+def test_probe_grid_matches_the_sorted_set_reference():
+    def reference(xs):  # sorts the set of abscissas and midpoints
+        xs = sorted(set(xs))
+        mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        return sorted([xs[0] - 1, *xs, *mids, xs[-1] + 1])
+
+    fns = [gen(seed, kind, c).fn for seed in range(6) for kind in KINDS for c in (1, 5)]
+    pairs = list(zip(fns, fns[1:])) + [(f, f) for f in fns[:8]] + [(pwfn.identity(0, 1), pwfn.identity(2, 3))]
+    for f, g in pairs:
+        grid = lab._probe_grid(pwfn._merged(f._xs, g._xs))
+        assert grid == reference([b.x for b in f.breakpoints + g.breakpoints])
+        assert all(type(x) is Q for x in grid)
 
 
 def test_pairing_formula_handles_infinite_preimages():
