@@ -164,7 +164,7 @@ class PiecewiseMonotone:
         return self.breakpoints[-1].x
 
     def in_domain(self, x: Fraction) -> bool:
-        return not self.is_bounded or self.lo <= x <= self.hi
+        return not self.is_bounded or _le(self.lo, x) and _le(x, self.hi)
 
     def value_bounds(self) -> tuple[ExtendedRat, ExtendedRat]:
         """Inf and sup of the function's values (closure of the range)."""

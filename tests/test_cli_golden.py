@@ -22,15 +22,10 @@ from pathlib import Path
 
 import pytest
 
-from dtlab.cli import main
+from dtlab.cli import COMMANDS, main
 from test_cli import DEMO
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
-
-COMMANDS = (
-    "quantile", "eval", "apply", "functional", "risk", "commute", "setcommute",
-    "monotone", "lsc", "extract", "fuzz", "normal-form", "reproduce",
-)
 
 # Spec files for the malformed cases; each is read by `quantile left 1/2 a`.
 MALFORMED = {

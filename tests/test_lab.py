@@ -260,7 +260,8 @@ def test_set_commute_composes_seven_times_per_passing_probe(monkeypatch):
 def test_kernels_make_no_ordered_fraction_comparison(monkeypatch):
     # Every kernel compares Fractions on their integers, so none of <, <=, >
     # and >= (all of which go through Fraction._richcmp) runs inside one,
-    # nor inside a single-point read, a cdf's decomposition or the probe grid.
+    # nor inside a single-point read, a cdf's decomposition or a search for
+    # the first difference of two functions.
     values = [{kind: gen(seed, kind, c) for kind in KINDS} for seed in range(4) for c in (3, 9)]
     forms = [set_commute_fuzz_inputs(family, 0) for family in ("utilities", "distortions")]
     levels = [Q(k, 8) for k in range(1, 8)]
@@ -291,12 +292,13 @@ def test_kernels_make_no_ordered_fraction_comparison(monkeypatch):
         for t in levels:
             left_quantile(F, t)
             right_quantile(F, t)
-        for f in [v[kind].fn for kind in KINDS]:
+        for kind in KINDS:
+            f = v[kind].fn
             for x in f._xs + tuple(levels):
                 f.eval3(x)
                 f(x)
+            first_fn_difference(f, w[kind].fn)
         decompose(F)
-        lab._probe_grid(pwfn._merged(F.fn._xs, G.fn._xs))
     assert calls == []
     for family, (form, probes) in zip(("utilities", "distortions"), forms):
         assert isinstance(set_commute_check(form, family, probes, CORPUS), Pass)
